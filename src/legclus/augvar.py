@@ -313,7 +313,7 @@ def point_count_closed_form(word: BridgeWord) -> LaurentPolynomial:
 def closed_form_value(word: BridgeWord, p: int) -> int:
     poly = point_count_closed_form(word)
     total = 0
-    for (j,), c in poly.terms.items():
+    for (j,), c in poly.items():
         total += c * p**j
     return total
 

@@ -318,12 +318,15 @@ def cmd_verify(args) -> None:
     ws = augvar.initial_seed(word)
     checks.append(("really full rank", ws.seed.quiver.is_really_full_rank()))
     fan = [m.fan_seed() for m in block_models(word)]
-    from .cluster import merge_seeds
+    from .cluster import merge_seeds, strip_unit_frozen
 
-    merged = merge_seeds(fan)
+    merged = strip_unit_frozen(merge_seeds(fan))
     if word.k > 1:
         checks.append(
-            ("fan seed matches initial seed", merged.canonical_key() == ws.seed.canonical_key())
+            (
+                "fan seed matches initial seed",
+                merged.canonical_key() == strip_unit_frozen(ws.seed).canonical_key(),
+            )
         )
 
     checks.append(
@@ -332,27 +335,30 @@ def cmd_verify(args) -> None:
     )
     checks.append(("Kauffman point-count identity", rulings.kauffman_identity_check(word)))
 
+    skipped: list[str] = []
     try:
         census = fillings.enumerate_filling_classes(word, budget=_budget(20000))
         checks.append(("filling census Catalan product", census.count == fillings.expected_filling_count(word)))
         res = fillings.run_sequence(word, census.representatives[0])
         checks.append(("representative chart units", res.t1.is_unit() and res.t2.is_unit()))
     except BudgetError:
-        checks.append(("filling census (skipped: budget)", True))
+        skipped.append("filling census")
 
     lines = [f"verification of {word}"]
-    ok = True
-    for name, good in checks:
-        ok = ok and good
-        lines.append(f"  [{'PASS' if good else 'FAIL'}] {name}")
+    lines += [f"  [{'PASS' if good else 'FAIL'}] {name}" for name, good in checks]
+    lines += [f"  [SKIP] {name} (budget)" for name in skipped]
+    failed = not all(good for _, good in checks)
     payload = {
         "word": list(word.blocks),
         "checks": {name: good for name, good in checks},
-        "ok": ok,
+        "skipped": skipped,
+        "ok": not failed and not skipped,
     }
     _emit(args, payload, "\n".join(lines) + "\n")
-    if not ok:
+    if failed:
         raise InputError("verification failed")
+    if skipped:
+        raise InputError(f"verification incomplete, skipped: {', '.join(skipped)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

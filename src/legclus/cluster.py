@@ -202,19 +202,17 @@ class Seed:
         """
         q = self.quiver
         frozen_order = sorted(q.frozen)
-        mut = q.mutable
-        keyed = sorted(mut, key=lambda v: self.variables[v].canonical_text())
+        text = [v.canonical_text() for v in self.variables]
         groups: list[list[int]] = []
-        for v in keyed:
-            text = self.variables[v].canonical_text()
-            if groups and self.variables[groups[-1][0]].canonical_text() == text:
+        for v in sorted(q.mutable, key=text.__getitem__):
+            if groups and text[groups[-1][0]] == text[v]:
                 groups[-1].append(v)
             else:
                 groups.append([v])
         best = None
         for perm_parts in itertools.product(*(itertools.permutations(g) for g in groups)):
             order = [v for part in perm_parts for v in part] + frozen_order
-            texts = tuple(self.variables[v].canonical_text() for v in order)
+            texts = tuple(text[v] for v in order)
             matrix = tuple(tuple(q.matrix[i][j] for j in order) for i in order)
             key = (texts, matrix, len(frozen_order))
             if best is None or key < best:

@@ -45,11 +45,10 @@ def continuant(
 
     names = []
     for x in entries:
-        if isinstance(x, LaurentPolynomial) and x.is_monomial():
-            (exps, c), = x.terms.items()
-            if c == 1 and sum(exps) == 1 and all(e in (0, 1) for e in exps):
-                names.append(table.names[exps.index(1)])
-                continue
+        name = x.variable_name() if isinstance(x, LaurentPolynomial) else None
+        if name is not None:
+            names.append(name)
+            continue
         names = None
         break
 

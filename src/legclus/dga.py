@@ -235,7 +235,7 @@ def differential_of(dga: DgPresentation, poly: LaurentPolynomial) -> LaurentPoly
     """Extend the differential as a derivation of the commutative image."""
     table, ring = dga.table, dga.ring
     out = LaurentPolynomial.zero(table, ring)
-    for exps, c in poly.terms.items():
+    for exps, c in poly.items():
         for idx, e in enumerate(exps):
             if e == 0:
                 continue
@@ -248,6 +248,6 @@ def differential_of(dga: DgPresentation, poly: LaurentPolynomial) -> LaurentPoly
             coeff = ring.reduce(c * e)
             if coeff == 0:
                 continue
-            mono = LaurentPolynomial(table, ring, {tuple(rest): coeff}, _checked=True)
+            mono = LaurentPolynomial(table, ring, {tuple(rest): coeff})
             out = out + mono * dg
     return out

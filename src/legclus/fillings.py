@@ -325,7 +325,7 @@ def chart_image(res: RunResult, poly: LaurentPolynomial) -> LaurentPolynomial:
     reduced = poly.reduce_mod(2) if poly.ring.p is None else poly
     table = res.t1.table
     out = LaurentPolynomial.zero(table, F2)
-    for exps, c in reduced.terms.items():
+    for exps, c in reduced.items():
         term = LaurentPolynomial.constant(table, F2, c)
         for i, e in enumerate(exps):
             if e:

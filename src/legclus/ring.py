@@ -1,26 +1,63 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
-Coefficients live in the integers or in a prime field F_p.  A polynomial is
-stored as a mapping from dense integer exponent vectors to nonzero
-coefficients; exponent vectors are tuples indexed by a shared
-:class:`VariableTable`.  Negative exponents are permitted only at variables
-flagged invertible (base points, frozen units), never at ordinary crossing
+Coefficients live in the integers or in a prime field F_p.  A polynomial
+maps monomials over a shared :class:`VariableTable` to nonzero
+coefficients.  Negative exponents are permitted only at variables flagged
+invertible (base points, frozen units), never at ordinary crossing
 variables.
 
 Example (table ``a1, a2`` with neither invertible)::
 
-    a1*a2 - 1   ->   {(1, 1): 1, (0, 0): -1}
+    a1*a2 - 1   ->   terms {(1, 1): 1, (0, 0): -1}
+
+Packed monomials.  Each monomial is stored as one Python int.  Over a
+table of n variables, variable i owns the 16-bit field at bit offset
+16*(n-1-i), so variable 0 takes the most significant field.  The field of
+an invertible variable holds its exponent plus a bias of 2^15; the field of
+any other variable holds its exponent, which is never negative, so a key is
+no longer than its first occurring ordinary variable needs.  The table's
+``bias`` (BIAS below) has 2^15 in the fields of the invertible variables
+and is the packed constant monomial.
+
+- Order: comparing two packed ints compares their exponent tuples
+  lexicographically in table order.  Printing (highest monomial first) and
+  the leading terms of :func:`exact_divide` sort the ints directly.
+- Products: the monomial product is ``k1 + k2 - BIAS``.  While every field
+  stays in range no carry crosses a field boundary, so this is exact.
+  Over F_2 the product kernel toggles membership in a set of packed ints;
+  over Z and F_p it accumulates a ``dict[int, int]``.
+- Decoding: fields are byte-aligned, so one ``int.to_bytes`` and one
+  ``struct.unpack`` turn a key back into its exponent tuple (XOR with
+  ``BIAS`` makes every field a two's-complement 16-bit integer).
+- Overflow: exponents must satisfy ``|e| <= EXP_LIMIT = 2^15 - 1``.  Each
+  polynomial keeps a range ``(lo, hi)`` holding every exponent of every
+  term: exact for polynomials built from terms, the sums of the operands'
+  ends for a product.  A product, power or substitution whose range would
+  leave ``[-EXP_LIMIT, EXP_LIMIT]`` raises :class:`AlgebraError` before any
+  field can wrap into its neighbour, at O(1) cost per product.
+
+The ``terms`` attribute is a read-only ``Mapping[tuple, int]`` view: its
+length is O(1), iteration decodes keys one at a time, and indexing packs the
+tuple it is given.  It keeps no decoded copy.  ``items()`` yields decoded
+``(exponents, coefficient)`` pairs.
 
 All values are immutable after construction, every operation is a pure
 function, and results are always canonical (no stored zero coefficient).
-Monomial order is lexicographic on the table order and is used only for
-printing.
 """
 
 from __future__ import annotations
 
+import struct
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from functools import lru_cache
+from operator import add
+from typing import Iterable, Iterator, Sequence, Union
+
+from .errors import AlgebraError
+
+FIELD_BITS = 16  # _layout reads each field as a struct "h"
+EXP_LIMIT = (1 << (FIELD_BITS - 1)) - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -73,10 +110,30 @@ class Coefficients:
         return "Z" if self.p is None else f"F{self.p}"
 
 
-class VariableTable:
-    """Ordered list of distinct variable names with per-variable unit flags."""
+def _full_bias(n: int) -> int:
+    """The int with 2^15 in each of n fields."""
+    return int.from_bytes(b"\x80\0" * n, "big")
 
-    __slots__ = ("names", "invertible", "_index", "continuant_cache")
+
+@lru_cache(maxsize=None)
+def _layout(invertible: tuple[bool, ...]) -> tuple[struct.Struct, int, tuple[int, ...], int]:
+    """Codec, bias, non-invertible indices and the mask of their fields."""
+    fixed = tuple(i for i, inv in enumerate(invertible) if not inv)
+    mask = int.from_bytes(b"".join(b"\0\0" if inv else b"\xff\xff" for inv in invertible), "big")
+    return struct.Struct(f">{len(invertible)}h"), _full_bias(len(invertible)) & ~mask, fixed, mask
+
+
+class VariableTable:
+    """Ordered list of distinct variable names with per-variable unit flags.
+
+    The table also fixes the packed-monomial layout of its polynomials
+    (see the module docstring).
+    """
+
+    __slots__ = (
+        "names", "invertible", "_index", "continuant_cache",
+        "bias", "_struct", "_fixed", "_fixed_mask",
+    )
 
     def __init__(self, names: Sequence[str], invertible: Iterable[str] = ()) -> None:
         names = tuple(names)
@@ -91,11 +148,20 @@ class VariableTable:
         self._index = {n: i for i, n in enumerate(names)}
         self.continuant_cache: dict = {}
 
+        self._struct, self.bias, self._fixed, self._fixed_mask = _layout(self.invertible)
+
     def index(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The packed key of an exponent vector with entries within ``EXP_LIMIT``."""
+        return int.from_bytes(self._struct.pack(*exps), "big") ^ self.bias
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return self._struct.unpack((key ^ self.bias).to_bytes(self._struct.size, "big"))
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -104,7 +170,7 @@ class VariableTable:
         return len(self.names)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, VariableTable)
             and self.names == other.names
             and self.invertible == other.invertible
@@ -117,61 +183,132 @@ class VariableTable:
         return f"VariableTable({list(self.names)!r})"
 
 
+def _overflow(lo: int, hi: int) -> AlgebraError:
+    return AlgebraError(
+        f"exponent range [{lo}, {hi}] leaves the packed field range of +-{EXP_LIMIT}"
+    )
+
+
+def _exponent_range(exps: Sequence[int]) -> tuple[int, int]:
+    lo, hi = (min(exps), max(exps)) if exps else (0, 0)
+    if lo < -EXP_LIMIT or hi > EXP_LIMIT:
+        raise _overflow(lo, hi)
+    return lo, hi
+
+
+def _union(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
+class Terms(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples."""
+
+    __slots__ = ("_packed", "_table")
+
+    def __init__(self, packed: dict[int, int], table: VariableTable) -> None:
+        self._packed = packed
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(self._table.unpack, self._packed)
+
+    def __getitem__(self, exps: tuple) -> int:
+        table = self._table
+        if not isinstance(exps, tuple) or len(exps) != len(table):
+            raise KeyError(exps)
+        try:
+            return self._packed[table.pack(exps)]
+        except (KeyError, struct.error):
+            raise KeyError(exps) from None
+
+    def items(self) -> "_TermItems":
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        unpack = self._mapping._table.unpack
+        for key, c in self._mapping._packed.items():
+            yield unpack(key), c
+
+
 PolyLike = Union["LaurentPolynomial", int]
 
 
 class LaurentPolynomial:
     """A sparse Laurent polynomial bound to a table and a coefficient ring."""
 
-    __slots__ = ("table", "ring", "terms")
+    __slots__ = ("table", "ring", "_packed", "_range")
 
     def __init__(
         self,
         table: VariableTable,
         ring: Coefficients,
         terms: Mapping[tuple, int],
-        _checked: bool = False,
     ) -> None:
+        """Build from exponent tuples; zero coefficients are dropped."""
+        packed: dict[int, int] = {}
+        rng = (0, 0)
+        width = len(table)
+        for exps, c in terms.items():
+            if len(exps) != width:
+                raise ValueError("exponent vector has wrong length")
+            c = ring.reduce(c)
+            if c == 0:
+                continue
+            for i in table._fixed:
+                if exps[i] < 0:
+                    raise ValueError(
+                        f"negative exponent at non-invertible variable {table.names[i]!r}"
+                    )
+            rng = _union(rng, _exponent_range(exps))
+            packed[table.pack(exps)] = c
         self.table = table
         self.ring = ring
-        if _checked:
-            self.terms = dict(terms)
-        else:
-            clean: dict[tuple, int] = {}
-            width = len(table)
-            for exps, c in terms.items():
-                if len(exps) != width:
-                    raise ValueError("exponent vector has wrong length")
-                c = ring.reduce(c)
-                if c == 0:
-                    continue
-                for i, e in enumerate(exps):
-                    if e < 0 and not table.invertible[i]:
-                        raise ValueError(
-                            f"negative exponent at non-invertible variable {table.names[i]!r}"
-                        )
-                clean[tuple(exps)] = c
-            self.terms = clean
+        self._packed = packed
+        self._range = rng
+
+    @classmethod
+    def _make(
+        cls,
+        table: VariableTable,
+        ring: Coefficients,
+        packed: dict[int, int],
+        rng: tuple[int, int],
+    ) -> "LaurentPolynomial":
+        """Wrap an already canonical packed dict (no copy, no checks).
+
+        ``rng = (lo, hi)`` holds every exponent of every term, and
+        ``lo <= 0 <= hi`` always.
+        """
+        self = object.__new__(cls)
+        self.table = table
+        self.ring = ring
+        self._packed = packed
+        self._range = rng
+        return self
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, table: VariableTable, ring: Coefficients) -> "LaurentPolynomial":
-        return cls(table, ring, {}, _checked=True)
+        return cls._make(table, ring, {}, (0, 0))
 
     @classmethod
     def constant(cls, table: VariableTable, ring: Coefficients, c: int) -> "LaurentPolynomial":
         c = ring.reduce(c)
         if c == 0:
             return cls.zero(table, ring)
-        return cls(table, ring, {(0,) * len(table): c}, _checked=True)
+        return cls._make(table, ring, {table.bias: c}, (0, 0))
 
     @classmethod
     def variable(cls, table: VariableTable, ring: Coefficients, name: str) -> "LaurentPolynomial":
-        exps = [0] * len(table)
-        exps[table.index(name)] = 1
-        return cls(table, ring, {tuple(exps): 1}, _checked=True)
+        shift = FIELD_BITS * (len(table) - 1 - table.index(name))
+        return cls._make(table, ring, {table.bias + (1 << shift): 1}, (0, 1))
 
     @classmethod
     def monomial(
@@ -188,7 +325,9 @@ class LaurentPolynomial:
 
     def _coerce(self, other: PolyLike) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
-            if other.table != self.table or other.ring != self.ring:
+            if (other.table is not self.table and other.table != self.table) or (
+                other.ring is not self.ring and other.ring != self.ring
+            ):
                 raise ValueError("operands use different variable tables or rings")
             return other
         if isinstance(other, int):
@@ -196,23 +335,41 @@ class LaurentPolynomial:
         return NotImplemented  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
+    # accessors
+
+    @property
+    def terms(self) -> Terms:
+        return Terms(self._packed, self.table)
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """``(exponents, coefficient)`` pairs, decoded one at a time."""
+        return iter(self.terms.items())
+
+    def variable_name(self) -> str | None:
+        """The name of the variable this polynomial is, if it is exactly one."""
+        if len(self._packed) != 1:
+            return None
+        (key, c), = self._packed.items()
+        unit = key - self.table.bias  # a variable's unit is 1 << (FIELD_BITS * j)
+        j, rest = divmod(unit.bit_length() - 1, FIELD_BITS)  # j counts fields from the right
+        if c != 1 or unit <= 0 or rest or unit & (unit - 1):
+            return None
+        return self.table.names[len(self.table) - 1 - j]
+
+    # ------------------------------------------------------------------
     # predicates
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return not self._packed
 
     def is_unit(self) -> bool:
         """True for a single term with unit coefficient and only unit variables."""
-        if len(self.terms) != 1:
+        if len(self._packed) != 1:
             return False
-        (exps, c), = self.terms.items()
-        for i, e in enumerate(exps):
-            if e != 0 and not self.table.invertible[i]:
-                return False
+        (key, c), = self._packed.items()
+        if (key ^ self.table.bias) & self.table._fixed_mask:
+            return False
         if self.ring.p is None:
             return c in (1, -1)
         return c % self.ring.p != 0
@@ -220,12 +377,11 @@ class LaurentPolynomial:
     def invert_unit(self) -> "LaurentPolynomial":
         if not self.is_unit():
             raise ValueError(f"{self} is not a unit")
-        (exps, c), = self.terms.items()
-        return LaurentPolynomial(
-            self.table,
-            self.ring,
-            {tuple(-e for e in exps): self.ring.invert(c)},
-            _checked=True,
+        (key, c), = self._packed.items()
+        # a field holding b + e (b its bias) becomes b - e
+        inverse = 2 * self.table.bias - key
+        return LaurentPolynomial._make(
+            self.table, self.ring, {inverse: self.ring.invert(c)}, (-self._range[1], -self._range[0])
         )
 
     # ------------------------------------------------------------------
@@ -234,22 +390,31 @@ class LaurentPolynomial:
     def __add__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
         ring = self.ring
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            new = ring.reduce(terms.get(exps, 0) + c)
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        return LaurentPolynomial(self.table, ring, terms, _checked=True)
+        big, small = self._packed, other._packed
+        if len(big) < len(small):
+            big, small = small, big
+        packed = dict(big)
+        if ring.p == 2:
+            for key in small:
+                if key in packed:
+                    del packed[key]
+                else:
+                    packed[key] = 1
+        else:
+            for key, c in small.items():
+                new = ring.reduce(packed.get(key, 0) + c)
+                if new:
+                    packed[key] = new
+                else:
+                    del packed[key]
+        return LaurentPolynomial._make(self.table, ring, packed, _union(self._range, other._range))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
         ring = self.ring
-        return LaurentPolynomial(
-            self.table, ring, {e: ring.reduce(-c) for e, c in self.terms.items()}, _checked=True
-        )
+        packed = {k: ring.reduce(-c) for k, c in self._packed.items()}
+        return LaurentPolynomial._make(self.table, ring, packed, self._range)
 
     def __sub__(self, other: PolyLike) -> "LaurentPolynomial":
         return self + (-self._coerce(other))
@@ -259,17 +424,34 @@ class LaurentPolynomial:
 
     def __mul__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
-        ring = self.ring
-        out: dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                new = ring.reduce(out.get(e, 0) + c1 * c2)
-                if new:
-                    out[e] = new
-                else:
-                    out.pop(e, None)
-        return LaurentPolynomial(self.table, ring, out, _checked=True)
+        (lo1, hi1), (lo2, hi2) = self._range, other._range
+        lo, hi = lo1 + lo2, hi1 + hi2
+        if lo < -EXP_LIMIT or hi > EXP_LIMIT:
+            raise _overflow(lo, hi)
+        ring, bias = self.ring, self.table.bias
+        outer, inner = self._packed, other._packed
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        if ring.p == 2:
+            acc: set[int] = set()
+            for k1 in outer:
+                acc ^= set(map((k1 - bias).__add__, inner))
+            packed = dict.fromkeys(acc, 1)
+        else:
+            sums: dict[int, int] = {}
+            get = sums.get
+            for k1, c1 in outer.items():
+                base = k1 - bias
+                for k2, c2 in inner.items():
+                    key = base + k2
+                    sums[key] = get(key, 0) + c1 * c2
+            reduce = ring.reduce
+            packed = {}
+            for key, c in sums.items():
+                c = reduce(c)
+                if c:
+                    packed[key] = c
+        return LaurentPolynomial._make(self.table, ring, packed, (lo, hi))
 
     __rmul__ = __mul__
 
@@ -292,11 +474,11 @@ class LaurentPolynomial:
             isinstance(other, LaurentPolynomial)
             and self.table == other.table
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._packed.items())))
 
     # ------------------------------------------------------------------
     # substitution and evaluation
@@ -323,7 +505,7 @@ class LaurentPolynomial:
         if not values:
             return self
         out = LaurentPolynomial.zero(table, ring)
-        for exps, c in self.terms.items():
+        for exps, c in self.items():
             factor = LaurentPolynomial.constant(table, ring, c)
             residual = list(exps)
             for i, poly in values.items():
@@ -332,7 +514,7 @@ class LaurentPolynomial:
                     continue
                 residual[i] = 0
                 factor = factor * (poly ** e)
-            mono = LaurentPolynomial(table, ring, {tuple(residual): 1}, _checked=True)
+            mono = LaurentPolynomial._make(table, ring, {table.pack(residual): 1}, self._range)
             out = out + factor * mono
         return out
 
@@ -349,8 +531,9 @@ class LaurentPolynomial:
             raise ValueError("a prime characteristic is required for evaluation")
         field = Coefficients.prime_field(p)
         table = self.table
+        terms = list(self.items())
         occurring = set()
-        for exps in self.terms:
+        for exps, _ in terms:
             for i, e in enumerate(exps):
                 if e != 0:
                     occurring.add(i)
@@ -364,7 +547,7 @@ class LaurentPolynomial:
                 raise ValueError(f"zero assigned to invertible variable {name!r}")
             vals[i] = v
         total = 0
-        for exps, c in self.terms.items():
+        for exps, c in terms:
             term = c % p
             for i, e in enumerate(exps):
                 if e == 0:
@@ -376,16 +559,21 @@ class LaurentPolynomial:
 
     def reduce_mod(self, p: int) -> "LaurentPolynomial":
         """The image of this integer polynomial in F_p (same table)."""
-        return LaurentPolynomial(self.table, Coefficients.prime_field(p), self.terms)
+        field = Coefficients.prime_field(p)
+        packed = {k: c % p for k, c in self._packed.items() if c % p}
+        return LaurentPolynomial._make(self.table, field, packed, self._range)
 
     # ------------------------------------------------------------------
     # printing
 
-    def _sorted_terms(self) -> list[tuple[tuple, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+    def _sorted_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Decoded terms, highest monomial first."""
+        unpack, packed = self.table.unpack, self._packed
+        for key in sorted(packed, reverse=True):
+            yield unpack(key), packed[key]
 
     def canonical_text(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         pieces = []
         for exps, c in self._sorted_terms():
@@ -431,19 +619,20 @@ class LaurentPolynomial:
 # exact division
 
 
-def _monomial_content(poly: LaurentPolynomial) -> tuple:
-    """Per-variable minimum exponent across all terms."""
-    mins = None
-    for exps in poly.terms:
-        if mins is None:
-            mins = list(exps)
-        else:
-            mins = [min(a, b) for a, b in zip(mins, exps)]
-    return tuple(mins or ())
+def _shifted(
+    poly: LaurentPolynomial, full_bias: int
+) -> tuple[tuple[int, ...], dict[int, int], int]:
+    """Strip the monomial content (per-variable minimum exponent).
 
-
-def _shift(poly: LaurentPolynomial, shift: tuple, table: VariableTable) -> dict:
-    return {tuple(e - s for e, s in zip(exps, shift)): c for exps, c in poly.terms.items()}
+    Returns the content, the shifted terms (all exponents now nonnegative)
+    packed with a bias of 2^15 in every field, and their largest exponent.
+    """
+    table = poly.table
+    columns = list(zip(*map(table.unpack, poly._packed)))
+    content = tuple(map(min, columns))
+    _, spread = _exponent_range([hi - lo for hi, lo in zip(map(max, columns), content)])
+    offset = table.pack(content) - full_bias
+    return content, {k - offset: c for k, c in poly._packed.items()}, spread
 
 
 def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial | None:
@@ -465,19 +654,23 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
     if num.is_zero:
         return num
 
-    shift_n = _monomial_content(num)
-    shift_d = _monomial_content(den)
-    rem = _shift(num, shift_n, table)
-    dterms = _shift(den, shift_d, table)
+    # Every exponent in rem and dterms lies in [0, EXP_LIMIT] and every
+    # field carries the bias, so a field difference never borrows and a
+    # field sum never carries.
+    codec, bias = table._struct, _full_bias(len(table))
+    content_n, rem, _ = _shifted(num, bias)
+    content_d, dterms, dspread = _shifted(den, bias)
     lead_d = max(dterms)
     lead_dc = dterms[lead_d]
 
-    quo: dict[tuple, int] = {}
+    quo: list[tuple[tuple[int, ...], int]] = []
     while rem:
         lead_r = max(rem)
-        exps = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(e < 0 for e in exps):
+        q = lead_r - lead_d + bias
+        exps = codec.unpack((q ^ bias).to_bytes(codec.size, "big"))
+        if min(exps, default=0) < 0:
             return None
+        _exponent_range((0, max(exps, default=0) + dspread))  # q * den stays in range
         c = rem[lead_r]
         if ring.p is None:
             if c % lead_dc != 0:
@@ -485,21 +678,24 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
             qc = c // lead_dc
         else:
             qc = c * ring.invert(lead_dc) % ring.p
-        quo[exps] = qc
-        for de, dc in dterms.items():
-            e = tuple(a + b for a, b in zip(exps, de))
-            new = ring.reduce(rem.get(e, 0) - qc * dc)
+        quo.append((exps, qc))
+        base = q - bias
+        for dk, dc in dterms.items():
+            key = base + dk
+            new = ring.reduce(rem.get(key, 0) - qc * dc)
             if new:
-                rem[e] = new
+                rem[key] = new
             else:
-                rem.pop(e, None)
+                rem.pop(key, None)
 
-    net = tuple(a - b for a, b in zip(shift_n, shift_d))
-    result: dict[tuple, int] = {}
-    for exps, c in quo.items():
-        e = tuple(a + b for a, b in zip(exps, net))
-        for i, v in enumerate(e):
-            if v < 0 and not table.invertible[i]:
+    net = tuple(a - b for a, b in zip(content_n, content_d))
+    result: dict[int, int] = {}
+    rng = (0, 0)
+    for exps, c in quo:
+        e = tuple(map(add, exps, net))
+        for i in table._fixed:
+            if e[i] < 0:
                 return None
-        result[e] = c
-    return LaurentPolynomial(table, ring, result, _checked=True)
+        rng = _union(rng, _exponent_range(e))
+        result[table.pack(e)] = c
+    return LaurentPolynomial._make(table, ring, result, rng)

@@ -349,10 +349,10 @@ def kauffman_identity_check(word: BridgeWord) -> bool:
     # z * B(z) has only nonnegative powers, so evaluate that instead and
     # absorb the loose z factor of the identity into it
     zb = LaurentPolynomial.zero(_WTABLE, _Z)
-    for (e,), c in bz.terms.items():
+    for (e,), c in bz.items():
         zb = zb + c * z_val ** (e + 1)
     rhs = w ** (word.total - 2 * word.k + 2) * zb
     lhs = LaurentPolynomial.zero(_WTABLE, _Z)
-    for (e,), c in closed.terms.items():
+    for (e,), c in closed.items():
         lhs = lhs + c * (w * w) ** e
     return lhs == rhs

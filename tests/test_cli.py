@@ -88,6 +88,33 @@ def test_verify(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_fan_seed_with_two_crossing_blocks(capsys):
+    # blocks of at most two crossings give unit frozen vertices, which the
+    # fan-seed comparison drops on both sides
+    code, out = run(capsys, "verify", "2,2,2,2")
+    assert code == 0
+    assert "[PASS] fan seed matches initial seed" in out and "FAIL" not in out
+    code, out = run(capsys, "verify", "2,2,2,2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] and data["checks"]["fan seed matches initial seed"]
+    assert data["skipped"] == []
+
+
+def test_verify_skipped_census_is_not_a_pass(capsys, monkeypatch):
+    monkeypatch.setenv("LEGCLUS_BUDGET", "10")
+    code, out = run(capsys, "verify", "6,5,6")
+    assert code == 1
+    assert "[SKIP] filling census (budget)" in out
+    assert "PASS] filling census" not in out
+    code, out = run(capsys, "verify", "6,5,6", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["skipped"] == ["filling census"]
+    assert all(data["checks"].values())
+
+
 def test_bad_word_is_domain_error(capsys):
     assert main(["augvar", "[2,1,2]", "--count"]) == 1
 

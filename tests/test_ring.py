@@ -149,6 +149,27 @@ def test_canonical_text():
     assert f.canonical_text() == "a1*a2 - 1"
 
 
+def test_terms_is_a_read_only_tuple_keyed_view():
+    t = table_xyz(invertible=("z",))
+    f = poly_of(t, Z, [(3, {"x": 2, "z": -1}), (-1, {})])
+    assert len(f.terms) == 2
+    assert f.terms[(2, 0, -1)] == 3 and f.terms[(0, 0, 0)] == -1
+    assert (0, 0, 1) not in f.terms and (0, -1, 0) not in f.terms and (1, 2) not in f.terms
+    assert f.terms == {(2, 0, -1): 3, (0, 0, 0): -1}
+    assert sorted(f.items()) == sorted(f.terms.items()) == [((0, 0, 0), -1), ((2, 0, -1), 3)]
+    assert LaurentPolynomial(t, Z, f.terms) == f
+    with pytest.raises(TypeError):
+        f.terms[(0, 0, 0)] = 5
+
+
+def test_variable_name():
+    t = table_xyz(invertible=("z",))
+    x, z = (LaurentPolynomial.variable(t, Z, n) for n in ("x", "z"))
+    assert x.variable_name() == "x" and z.variable_name() == "z"
+    for other in (x * x, x * z, 2 * x, -x, z.invert_unit(), x + 1, LaurentPolynomial.constant(t, Z, 1)):
+        assert other.variable_name() is None
+
+
 # ----------------------------------------------------------------------
 # ring axioms and homomorphism properties on random polynomials
 
