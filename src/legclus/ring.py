@@ -179,6 +179,11 @@ class VariableTable:
     def __hash__(self) -> int:
         return hash((self.names, self.invertible))
 
+    def __reduce__(self):
+        # rebuilt from its arguments, since the struct codec cannot be pickled
+        units = [n for n, inv in zip(self.names, self.invertible) if inv]
+        return VariableTable, (self.names, units)
+
     def __repr__(self) -> str:
         return f"VariableTable({list(self.names)!r})"
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -160,6 +162,14 @@ def test_terms_is_a_read_only_tuple_keyed_view():
     assert LaurentPolynomial(t, Z, f.terms) == f
     with pytest.raises(TypeError):
         f.terms[(0, 0, 0)] = 5
+
+
+def test_pickle_and_deepcopy_round_trip():
+    t = table_xyz(invertible=("z",))
+    f = poly_of(t, Z, [(3, {"x": 2, "z": -1}), (-1, {})])
+    for copy_of in (lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy):
+        g = copy_of(f)
+        assert g == f and g.table.invertible == t.invertible and g.terms == f.terms
 
 
 def test_variable_name():
