@@ -30,7 +30,7 @@ and is the packed constant monomial.
   ``struct.unpack`` turn a key back into its exponent tuple (XOR with
   ``BIAS`` makes every field a two's-complement 16-bit integer).
 - Overflow: exponents must satisfy ``|e| <= EXP_LIMIT = 2^15 - 1``.  Each
-  polynomial keeps a range ``(lo, hi)`` holding every exponent of every
+  polynomial keeps a range ``[lo, hi]`` holding every exponent of every
   term: exact for polynomials built from terms, the sums of the operands'
   ends for a product.  A product, power or substitution whose range would
   leave ``[-EXP_LIMIT, EXP_LIMIT]`` raises :class:`AlgebraError` before any
@@ -201,10 +201,6 @@ def _exponent_range(exps: Sequence[int]) -> tuple[int, int]:
     return lo, hi
 
 
-def _union(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return min(a[0], b[0]), max(a[1], b[1])
-
-
 class Terms(Mapping):
     """Read-only view of a polynomial's terms keyed by exponent tuples."""
 
@@ -246,7 +242,7 @@ PolyLike = Union["LaurentPolynomial", int]
 class LaurentPolynomial:
     """A sparse Laurent polynomial bound to a table and a coefficient ring."""
 
-    __slots__ = ("table", "ring", "_packed", "_range")
+    __slots__ = ("table", "ring", "_packed", "_lo", "_hi")
 
     def __init__(
         self,
@@ -256,7 +252,7 @@ class LaurentPolynomial:
     ) -> None:
         """Build from exponent tuples; zero coefficients are dropped."""
         packed: dict[int, int] = {}
-        rng = (0, 0)
+        lo = hi = 0
         width = len(table)
         for exps, c in terms.items():
             if len(exps) != width:
@@ -269,12 +265,13 @@ class LaurentPolynomial:
                     raise ValueError(
                         f"negative exponent at non-invertible variable {table.names[i]!r}"
                     )
-            rng = _union(rng, _exponent_range(exps))
+            elo, ehi = _exponent_range(exps)
+            lo, hi = min(lo, elo), max(hi, ehi)
             packed[table.pack(exps)] = c
         self.table = table
         self.ring = ring
         self._packed = packed
-        self._range = rng
+        self._lo, self._hi = lo, hi
 
     @classmethod
     def _make(
@@ -282,18 +279,19 @@ class LaurentPolynomial:
         table: VariableTable,
         ring: Coefficients,
         packed: dict[int, int],
-        rng: tuple[int, int],
+        lo: int,
+        hi: int,
     ) -> "LaurentPolynomial":
         """Wrap an already canonical packed dict (no copy, no checks).
 
-        ``rng = (lo, hi)`` holds every exponent of every term, and
+        Every exponent of every term lies in ``[lo, hi]``, and
         ``lo <= 0 <= hi`` always.
         """
         self = object.__new__(cls)
         self.table = table
         self.ring = ring
         self._packed = packed
-        self._range = rng
+        self._lo, self._hi = lo, hi
         return self
 
     # ------------------------------------------------------------------
@@ -301,19 +299,19 @@ class LaurentPolynomial:
 
     @classmethod
     def zero(cls, table: VariableTable, ring: Coefficients) -> "LaurentPolynomial":
-        return cls._make(table, ring, {}, (0, 0))
+        return cls._make(table, ring, {}, 0, 0)
 
     @classmethod
     def constant(cls, table: VariableTable, ring: Coefficients, c: int) -> "LaurentPolynomial":
         c = ring.reduce(c)
         if c == 0:
             return cls.zero(table, ring)
-        return cls._make(table, ring, {table.bias: c}, (0, 0))
+        return cls._make(table, ring, {table.bias: c}, 0, 0)
 
     @classmethod
     def variable(cls, table: VariableTable, ring: Coefficients, name: str) -> "LaurentPolynomial":
         shift = FIELD_BITS * (len(table) - 1 - table.index(name))
-        return cls._make(table, ring, {table.bias + (1 << shift): 1}, (0, 1))
+        return cls._make(table, ring, {table.bias + (1 << shift): 1}, 0, 1)
 
     @classmethod
     def monomial(
@@ -386,7 +384,7 @@ class LaurentPolynomial:
         # a field holding b + e (b its bias) becomes b - e
         inverse = 2 * self.table.bias - key
         return LaurentPolynomial._make(
-            self.table, self.ring, {inverse: self.ring.invert(c)}, (-self._range[1], -self._range[0])
+            self.table, self.ring, {inverse: self.ring.invert(c)}, -self._hi, -self._lo
         )
 
     # ------------------------------------------------------------------
@@ -412,14 +410,16 @@ class LaurentPolynomial:
                     packed[key] = new
                 else:
                     del packed[key]
-        return LaurentPolynomial._make(self.table, ring, packed, _union(self._range, other._range))
+        return LaurentPolynomial._make(
+            self.table, ring, packed, min(self._lo, other._lo), max(self._hi, other._hi)
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
         ring = self.ring
         packed = {k: ring.reduce(-c) for k, c in self._packed.items()}
-        return LaurentPolynomial._make(self.table, ring, packed, self._range)
+        return LaurentPolynomial._make(self.table, ring, packed, self._lo, self._hi)
 
     def __sub__(self, other: PolyLike) -> "LaurentPolynomial":
         return self + (-self._coerce(other))
@@ -429,8 +429,7 @@ class LaurentPolynomial:
 
     def __mul__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
-        (lo1, hi1), (lo2, hi2) = self._range, other._range
-        lo, hi = lo1 + lo2, hi1 + hi2
+        lo, hi = self._lo + other._lo, self._hi + other._hi
         if lo < -EXP_LIMIT or hi > EXP_LIMIT:
             raise _overflow(lo, hi)
         ring, bias = self.ring, self.table.bias
@@ -456,7 +455,7 @@ class LaurentPolynomial:
                 c = reduce(c)
                 if c:
                     packed[key] = c
-        return LaurentPolynomial._make(self.table, ring, packed, (lo, hi))
+        return LaurentPolynomial._make(self.table, ring, packed, lo, hi)
 
     __rmul__ = __mul__
 
@@ -519,7 +518,9 @@ class LaurentPolynomial:
                     continue
                 residual[i] = 0
                 factor = factor * (poly ** e)
-            mono = LaurentPolynomial._make(table, ring, {table.pack(residual): 1}, self._range)
+            mono = LaurentPolynomial._make(
+                table, ring, {table.pack(residual): 1}, self._lo, self._hi
+            )
             out = out + factor * mono
         return out
 
@@ -566,7 +567,7 @@ class LaurentPolynomial:
         """The image of this integer polynomial in F_p (same table)."""
         field = Coefficients.prime_field(p)
         packed = {k: c % p for k, c in self._packed.items() if c % p}
-        return LaurentPolynomial._make(self.table, field, packed, self._range)
+        return LaurentPolynomial._make(self.table, field, packed, self._lo, self._hi)
 
     # ------------------------------------------------------------------
     # printing
@@ -695,12 +696,13 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
 
     net = tuple(a - b for a, b in zip(content_n, content_d))
     result: dict[int, int] = {}
-    rng = (0, 0)
+    lo = hi = 0
     for exps, c in quo:
         e = tuple(map(add, exps, net))
         for i in table._fixed:
             if e[i] < 0:
                 return None
-        rng = _union(rng, _exponent_range(e))
+        elo, ehi = _exponent_range(e)
+        lo, hi = min(lo, elo), max(hi, ehi)
         result[table.pack(e)] = c
-    return LaurentPolynomial._make(table, ring, result, rng)
+    return LaurentPolynomial._make(table, ring, result, lo, hi)
