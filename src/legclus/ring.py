@@ -31,10 +31,17 @@ and is the packed constant monomial.
   ``BIAS`` makes every field a two's-complement 16-bit integer).
 - Overflow: exponents must satisfy ``|e| <= EXP_LIMIT = 2^15 - 1``.  Each
   polynomial keeps a range ``[lo, hi]`` holding every exponent of every
-  term: exact for polynomials built from terms, the sums of the operands'
-  ends for a product.  A product, power or substitution whose range would
-  leave ``[-EXP_LIMIT, EXP_LIMIT]`` raises :class:`AlgebraError` before any
-  field can wrap into its neighbour, at O(1) cost per product.
+  term: exact for polynomials built from terms, the union of the operands'
+  ranges for a sum and the sums of their ends for a product, so after a
+  cancellation, or with extremes at different variables, it can be wider
+  than the true range.  A product checks this range first, at O(1) cost.
+  Only if it leaves ``[-EXP_LIMIT, EXP_LIMIT]`` does the product compute
+  the exact range of each variable from the operands' terms (exact because
+  the coefficients form an integral domain), and it raises
+  :class:`AlgebraError` if that range leaves the field range too.  So a
+  product, power or substitution raises exactly when its result does not
+  fit, and no field ever wraps into its neighbour.  :func:`exact_divide`
+  works in 32-bit fields and raises only when the quotient does not fit.
 
 The ``terms`` attribute is a read-only ``Mapping[tuple, int]`` view: its
 length is O(1), iteration decodes keys one at a time, and indexing packs the
@@ -51,7 +58,7 @@ import struct
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import AlgebraError
@@ -196,6 +203,27 @@ def _overflow(lo: int, hi: int) -> AlgebraError:
 
 def _exponent_range(exps: Sequence[int]) -> tuple[int, int]:
     lo, hi = (min(exps), max(exps)) if exps else (0, 0)
+    if lo < -EXP_LIMIT or hi > EXP_LIMIT:
+        raise _overflow(lo, hi)
+    return lo, hi
+
+
+def _columns(poly: "LaurentPolynomial") -> list[tuple[int, ...]]:
+    """The exponents of each variable over the terms of a nonzero polynomial."""
+    return list(zip(*map(poly.table.unpack, poly._packed)))
+
+
+def _product_range(f: "LaurentPolynomial", g: "LaurentPolynomial") -> tuple[int, int]:
+    """The exact exponent range of ``f * g``; raises if it leaves the field range.
+
+    The coefficients form an integral domain, so in each variable the least
+    and greatest exponents of a product are the sums of the operands' own.
+    """
+    if f.is_zero or g.is_zero:
+        return 0, 0
+    lo = hi = 0
+    for a, b in zip(_columns(f), _columns(g)):
+        lo, hi = min(lo, min(a) + min(b)), max(hi, max(a) + max(b))
     if lo < -EXP_LIMIT or hi > EXP_LIMIT:
         raise _overflow(lo, hi)
     return lo, hi
@@ -397,19 +425,12 @@ class LaurentPolynomial:
         if len(big) < len(small):
             big, small = small, big
         packed = dict(big)
-        if ring.p == 2:
-            for key in small:
-                if key in packed:
-                    del packed[key]
-                else:
-                    packed[key] = 1
-        else:
-            for key, c in small.items():
-                new = ring.reduce(packed.get(key, 0) + c)
-                if new:
-                    packed[key] = new
-                else:
-                    del packed[key]
+        for key, c in small.items():
+            new = ring.reduce(packed.get(key, 0) + c)
+            if new:
+                packed[key] = new
+            else:
+                del packed[key]
         return LaurentPolynomial._make(
             self.table, ring, packed, min(self._lo, other._lo), max(self._hi, other._hi)
         )
@@ -431,7 +452,7 @@ class LaurentPolynomial:
         other = self._coerce(other)
         lo, hi = self._lo + other._lo, self._hi + other._hi
         if lo < -EXP_LIMIT or hi > EXP_LIMIT:
-            raise _overflow(lo, hi)
+            lo, hi = _product_range(self, other)
         ring, bias = self.ring, self.table.bias
         outer, inner = self._packed, other._packed
         if len(outer) > len(inner):
@@ -625,28 +646,40 @@ class LaurentPolynomial:
 # exact division
 
 
+@lru_cache(maxsize=None)
+def _wide(n: int) -> tuple[struct.Struct, int]:
+    """A codec of n 32-bit fields and the int with 2^31 in each field."""
+    return struct.Struct(f">{n}i"), int.from_bytes(b"\x80\0\0\0" * n, "big")
+
+
 def _shifted(
-    poly: LaurentPolynomial, full_bias: int
-) -> tuple[tuple[int, ...], dict[int, int], int]:
+    poly: LaurentPolynomial, codec: struct.Struct, bias: int
+) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
     """Strip the monomial content (per-variable minimum exponent).
 
-    Returns the content, the shifted terms (all exponents now nonnegative)
-    packed with a bias of 2^15 in every field, and their largest exponent.
+    Returns the content, each variable's spread (largest minus least
+    exponent) and the shifted terms, whose exponents are all nonnegative,
+    packed in 32-bit fields that each carry a bias of 2^31.
     """
-    table = poly.table
-    columns = list(zip(*map(table.unpack, poly._packed)))
+    rows = list(map(poly.table.unpack, poly._packed))
+    columns = list(zip(*rows))
     content = tuple(map(min, columns))
-    _, spread = _exponent_range([hi - lo for hi, lo in zip(map(max, columns), content)])
-    offset = table.pack(content) - full_bias
-    return content, {k - offset: c for k, c in poly._packed.items()}, spread
+    spread = tuple(max(col) - lo for col, lo in zip(columns, content))
+    pack = codec.pack
+    shifted = {
+        int.from_bytes(pack(*map(sub, exps, content)), "big") ^ bias: c
+        for exps, c in zip(rows, poly._packed.values())
+    }
+    return content, spread, shifted
 
 
 def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial | None:
     """Return ``q`` with ``q * den == num`` exactly, or None when no Laurent
     quotient exists.
 
-    Division by the zero polynomial raises ``ZeroDivisionError``.  The
-    algorithm strips monomial content from both operands, performs
+    Division by the zero polynomial raises ``ZeroDivisionError``, and a
+    quotient whose exponents leave the field range raises ``AlgebraError``.
+    The algorithm strips monomial content from both operands, performs
     leading-term reduction in the ordinary polynomial cone (valid because
     the coefficients form an integral domain), and re-applies the content;
     a quotient with negative exponents at non-invertible variables counts
@@ -660,12 +693,15 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
     if num.is_zero:
         return num
 
-    # Every exponent in rem and dterms lies in [0, EXP_LIMIT] and every
-    # field carries the bias, so a field difference never borrows and a
-    # field sum never carries.
-    codec, bias = table._struct, _full_bias(len(table))
-    content_n, rem, _ = _shifted(num, bias)
-    content_d, dterms, dspread = _shifted(den, bias)
+    codec, bias = _wide(len(table))
+    content_n, spread_n, rem = _shifted(num, codec, bias)
+    content_d, spread_d, dterms = _shifted(den, codec, bias)
+    # A quotient's spread in each variable is that of num less that of den,
+    # so a quotient term outside [0, limit] shows that none exists.  Every
+    # exponent in rem then stays in [0, spread_n], at most 2 * EXP_LIMIT,
+    # and as every field carries the bias, a field difference never borrows
+    # and a field sum never carries.
+    limit = tuple(map(sub, spread_n, spread_d))
     lead_d = max(dterms)
     lead_dc = dterms[lead_d]
 
@@ -674,9 +710,8 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
         lead_r = max(rem)
         q = lead_r - lead_d + bias
         exps = codec.unpack((q ^ bias).to_bytes(codec.size, "big"))
-        if min(exps, default=0) < 0:
+        if min(exps, default=0) < 0 or min(map(sub, limit, exps), default=0) < 0:
             return None
-        _exponent_range((0, max(exps, default=0) + dspread))  # q * den stays in range
         c = rem[lead_r]
         if ring.p is None:
             if c % lead_dc != 0:

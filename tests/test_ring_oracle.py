@@ -250,4 +250,20 @@ def test_exponent_past_the_limit_raises_instead_of_wrapping(ring):
     with pytest.raises(AlgebraError):
         LaurentPolynomial(TABLE, ring, {(EXP_LIMIT + 1, 0, 0, 0): 1})
     with pytest.raises(AlgebraError):
-        exact_divide(s**30000 + s**-30000, s + 1)
+        exact_divide(s**EXP_LIMIT, s.invert_unit())  # quotient s^(EXP_LIMIT + 1)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_results_inside_the_limit_never_raise(ring):
+    s = LaurentPolynomial.variable(TABLE, ring, "s")
+    x = LaurentPolynomial.variable(TABLE, ring, "x")
+    y = LaurentPolynomial.variable(TABLE, ring, "y")
+    # the stored bound is wider than the true range after a cancellation
+    assert (s**20000 + 1 - s**20000) * s**20000 == s**20000
+    # or when the extremes sit at different variables
+    assert dict(((x**20000 * y) * (s**-1 * y**20000)).items()) == {(20000, -1, 20001, 0): 1}
+    # a numerator spread past EXP_LIMIT, with a quotient that fits
+    num = s**20000 - s**-20000
+    q = exact_divide(num, s - 1)
+    assert q is not None and q * (s - 1) == num
+    assert exact_divide(num + x, s - 1) is None
