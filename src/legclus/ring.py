@@ -208,11 +208,6 @@ def _exponent_range(exps: Sequence[int]) -> tuple[int, int]:
     return lo, hi
 
 
-def _columns(poly: "LaurentPolynomial") -> list[tuple[int, ...]]:
-    """The exponents of each variable over the terms of a nonzero polynomial."""
-    return list(zip(*map(poly.table.unpack, poly._packed)))
-
-
 def _product_range(f: "LaurentPolynomial", g: "LaurentPolynomial") -> tuple[int, int]:
     """The exact exponent range of ``f * g``; raises if it leaves the field range.
 
@@ -221,12 +216,11 @@ def _product_range(f: "LaurentPolynomial", g: "LaurentPolynomial") -> tuple[int,
     """
     if f.is_zero or g.is_zero:
         return 0, 0
+    unpack = f.table.unpack
     lo = hi = 0
-    for a, b in zip(_columns(f), _columns(g)):
+    for a, b in zip(zip(*map(unpack, f._packed)), zip(*map(unpack, g._packed))):
         lo, hi = min(lo, min(a) + min(b)), max(hi, max(a) + max(b))
-    if lo < -EXP_LIMIT or hi > EXP_LIMIT:
-        raise _overflow(lo, hi)
-    return lo, hi
+    return _exponent_range((lo, hi))
 
 
 class Terms(Mapping):
