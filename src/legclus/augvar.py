@@ -212,9 +212,27 @@ def matrix_distribution(length: int, p: int) -> Counter:
     return states
 
 
+def first_row_distribution(length: int, p: int) -> Counter:
+    """Distribution of the first row (K_n, -K_L) of B(x_1)...B(x_len) mod p.
+
+    The row's update (a, b) -> (a x + b, -a) never reads the second row, so
+    at most p^2 states are kept instead of the p(p^2 - 1) of
+    ``matrix_distribution``.
+    """
+    states: Counter = Counter({(1, 0): 1})
+    for _ in range(length):
+        nxt: Counter = Counter()
+        for (a, b), cnt in states.items():
+            minus_a = -a % p
+            for x in range(p):
+                nxt[(a * x + b) % p, minus_a] += cnt
+        states = nxt
+    return states
+
+
 def count_block(length: int, p: int, nonzero: bool) -> int:
-    dist = matrix_distribution(length, p)
-    return sum(cnt for m, cnt in dist.items() if (m[0][0] != 0) == nonzero)
+    dist = first_row_distribution(length, p)
+    return sum(cnt for (k_n, _), cnt in dist.items() if (k_n != 0) == nonzero)
 
 
 def count_points(pres: VarietyPresentation, p: int) -> int:

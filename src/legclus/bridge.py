@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .continuant import continuant_int
@@ -46,9 +48,9 @@ class BridgeWord:
     def k(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def m(self) -> tuple[int, ...]:
-        """Partial sums m_i = n1 + ... + ni."""
+        """Partial sums m_i = n1 + ... + ni (computed once per word)."""
         out = []
         total = 0
         for n in self.blocks:
@@ -74,10 +76,10 @@ class BridgeWord:
         return list(range(start + 1, self.m[i] + 1))
 
     def block_of(self, chord: int) -> int:
-        for i, mi in enumerate(self.m):
-            if chord <= mi:
-                return i
-        raise InputError(f"chord index {chord} out of range for {self}")
+        i = bisect_left(self.m, chord)
+        if i == self.k:
+            raise InputError(f"chord index {chord} out of range for {self}")
+        return i
 
     def __str__(self) -> str:
         return "[" + ",".join(str(n) for n in self.blocks) + "]"

@@ -20,6 +20,7 @@ from .bridge import BridgeWord
 from .cluster import Seed, mutation_class
 from .errors import AlgebraError, BudgetError, InputError
 from .polygon import block_models
+from .ring import Coefficients
 
 SCHEMA = "legclus/1"
 
@@ -32,6 +33,13 @@ def _budget(default: int) -> int:
         except ValueError:
             raise InputError(f"LEGCLUS_BUDGET={value!r} is not an integer") from None
     return default
+
+
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option} needs a comma list of integers, got {text!r}") from None
 
 
 def _emit(args, payload: dict[str, Any], text: str) -> None:
@@ -115,6 +123,11 @@ def cmd_dga(args) -> None:
 
 def cmd_augvar(args) -> None:
     word = BridgeWord.parse(args.word)
+    if args.count or args.enumerate:
+        try:
+            Coefficients.prime_field(args.char)
+        except ValueError:
+            raise InputError(f"--char must be a prime, got {args.char}") from None
     style = Style.EQUATION if args.style == "equation" else Style.INEQUALITY
     pres = augvar.presentation(word, style)
     closed = augvar.point_count_closed_form(word)
@@ -155,6 +168,8 @@ def cmd_augvar(args) -> None:
         payload["count"] = count
         payload["verdict"] = verdict
     _emit(args, payload, "\n".join(lines) + "\n")
+    if payload.get("verdict") == "MISMATCH":
+        raise InputError("brute-force count does not match the closed form")
 
 
 def cmd_seed(args) -> None:
@@ -173,11 +188,14 @@ def cmd_mutate(args) -> None:
     word = BridgeWord.parse(args.word)
     ws = augvar.initial_seed(word)
     seed = ws.seed
-    trail = []
-    for part in args.at.split(","):
-        v = int(part) - 1
-        seed = seed.mutate(v)
-        trail.append(v + 1)
+    trail = _int_list(args.at, "--at")
+    for v in trail:
+        if not 1 <= v <= seed.quiver.size:
+            raise InputError(f"vertex {v} is not among the seed's vertices 1..{seed.quiver.size}")
+        if v - 1 in seed.quiver.frozen:
+            raise InputError(f"vertex {v} is frozen")
+    for v in trail:
+        seed = seed.mutate(v - 1)
     payload = {
         "word": list(word.blocks),
         "mutations": trail,
@@ -190,7 +208,10 @@ def cmd_mutate(args) -> None:
 def cmd_seeds(args) -> None:
     word = BridgeWord.parse(args.word)
     ws = augvar.initial_seed(word)
-    seeds, exceeded = mutation_class(ws.seed, bound=_budget(args.bound))
+    bound = _budget(args.bound)
+    if bound < 1:
+        raise InputError(f"the seed bound must be at least 1, got {bound}")
+    seeds, exceeded = mutation_class(ws.seed, bound=bound)
     lines = [f"mutation class of {word}: {len(seeds)} seeds" + (" (bound hit)" if exceeded else "")]
     payload = {
         "word": list(word.blocks),
@@ -207,7 +228,7 @@ def cmd_seeds(args) -> None:
 def cmd_fillings(args) -> None:
     word = BridgeWord.parse(args.word)
     if args.sequence:
-        seq = tuple(int(x) for x in args.sequence.split(","))
+        seq = tuple(_int_list(args.sequence, "--sequence"))
         res = fillings.run_sequence(word, seq)
         lines = [f"pinching sequence {list(seq)} on {word}"]
         for b, t in enumerate(res.triangulations):

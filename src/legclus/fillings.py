@@ -13,13 +13,26 @@ point, so surviving generators are sent to 0 (a single-block word instead
 keeps a one-parameter terminal circle, swept by one extra unit).  Each
 pinch also emits the diagonal joining its polygon-vertex neighbors, reading
 off a per-block triangulation and hence a cluster seed.
+
+Every public call builds the word's ``BlockLayout`` tuple once (chords,
+polygon size, crossing -> vertex map, candidate rule per block).  One
+walker, ``BlockWalk.pinch``, drops the pinched vertex from the block's
+ring of active polygon vertices and emits the neighbor diagonal unless it
+is a side; ``PinchState`` (with the substitution algebra on top),
+``sequence_to_triangulations`` and ``representative_sequence`` all step
+through it.  The filling census runs the per-block greedy of
+``representative_sequence`` once per triangulation of each block, joins
+the per-block orders in ``itertools.product`` order, and walks every
+joined representative once more: a representative whose emitted
+diagonals differ from its target raises ``AlgebraError``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from math import prod
+from typing import Iterator, Sequence
 
 from .augvar import retained_block_chords
 from .bridge import BridgeWord
@@ -27,7 +40,15 @@ from .cluster import Seed, merge_seeds
 from .continuant import continuant
 from .dga import a_name
 from .errors import AlgebraError, BudgetError, InputError
-from .polygon import BlockModel, Triangulation, block_models, is_side, triangulations
+from .polygon import (
+    BlockLayout,
+    Edge,
+    Triangulation,
+    block_layouts,
+    block_models,
+    is_side,
+    triangulations,
+)
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
 F2 = Coefficients.prime_field(2)
@@ -72,40 +93,87 @@ class PinchRecord:
     same_component: bool
 
 
+class BlockWalk:
+    """One block's pinch walk: its surviving crossings, the ring of still
+    active polygon vertices, and the diagonals emitted so far."""
+
+    __slots__ = ("layout", "survivors", "active", "emitted")
+
+    def __init__(self, layout: BlockLayout) -> None:
+        self.layout = layout
+        self.survivors = list(layout.chords)
+        self.active = list(range(1, layout.size + 1))
+        self.emitted: set[Edge] = set()
+
+    def candidates(self) -> list[int]:
+        return self.layout.candidates(self.survivors)
+
+    def diagonal(self, c: int) -> Edge | None:
+        """The diagonal that pinching c would emit; None for a side."""
+        active = self.active
+        i = active.index(self.layout.vertex_of[c])
+        left, right = active[i - 1], active[(i + 1) % len(active)]
+        edge = (left, right) if left < right else (right, left)
+        return None if is_side(self.layout.size, edge) else edge
+
+    def pinch(self, c: int) -> None:
+        """Drop c and its polygon vertex; emit the neighbor diagonal."""
+        edge = self.diagonal(c)
+        if edge is not None:
+            self.emitted.add(edge)
+        self.active.remove(self.layout.vertex_of[c])
+        self.survivors.remove(c)
+
+    def triangulation(self) -> Triangulation:
+        return Triangulation(self.layout.size, frozenset(self.emitted))
+
+
+def _candidates(walks: Sequence[BlockWalk]) -> list[int]:
+    """Currently pinchable crossings of all blocks, in crossing order (the
+    rule of each block is ``BlockLayout.candidates``)."""
+    return [c for walk in walks for c in walk.candidates()]
+
+
+def _walk(
+    word: BridgeWord, layouts: Sequence[BlockLayout], chords: Sequence[int]
+) -> list[BlockWalk]:
+    """Walk a complete admissible sequence through fresh block walks."""
+    walks = [BlockWalk(layout) for layout in layouts]
+    for step, c in enumerate(chords):
+        walk = walks[word.block_of(c)]
+        if c not in walk.candidates():
+            raise InputError(f"step {step + 1}: crossing {c} is not pinchable")
+        walk.pinch(c)
+    if _candidates(walks):
+        raise InputError("sequence is not complete")
+    return walks
+
+
 class PinchState:
     """Mutable bookkeeping for one pinching run."""
 
     def __init__(self, word: BridgeWord) -> None:
-        word.require_rational_form()
         self.word = word
+        self.walks = [BlockWalk(layout) for layout in block_layouts(word)]
         self.table = run_table(word)
-        self.survivors: list[list[int]] = [word.block_chords(b) for b in range(word.k)]
         one = LaurentPolynomial.constant(self.table, F2, 1)
         self.gaps: list[list[LaurentPolynomial]] = [
-            [one] * (len(block) + 1) for block in self.survivors
+            [one] * (len(walk.survivors) + 1) for walk in self.walks
         ]
         self.images: dict[str, LaurentPolynomial] = {
             a_name(j): LaurentPolynomial.variable(self.table, F2, a_name(j))
             for j in range(1, word.total + 1)
         }
-        self.models = block_models(word)
-        # polygon vertex of each crossing (interior blocks have none for
-        # their first crossing); sentinels keep the remaining corners alive
-        self.vertex_of: list[dict[int, int]] = []
-        self.active_vertices: list[list[int]] = []
-        for b in range(word.k):
-            chords = word.block_chords(b)
-            labeled = chords if (word.k > 1 and b == 0) else chords[1:]
-            mapping = {c: i + 1 for i, c in enumerate(labeled)}
-            self.vertex_of.append(mapping)
-            self.active_vertices.append(list(range(1, self.models[b].size + 1)))
-        self.emitted: list[set[tuple[int, int]]] = [set() for _ in range(word.k)]
         self.records: list[PinchRecord] = []
 
     # ------------------------------------------------------------------
 
+    @property
+    def survivors(self) -> list[list[int]]:
+        return [walk.survivors for walk in self.walks]
+
     def pinchable_chords(self) -> list[int]:
-        return _candidates(self.word, self.survivors)
+        return _candidates(self.walks)
 
     @property
     def complete(self) -> bool:
@@ -118,7 +186,7 @@ class PinchState:
         if c not in self.pinchable_chords():
             raise InputError(f"crossing {c} is not pinchable now")
         b = self.word.block_of(c)
-        block = self.survivors[b]
+        block = self.walks[b].survivors
         pos = block.index(c)
         u = self.gaps[b][pos]
         v = self.gaps[b][pos + 1]
@@ -139,22 +207,8 @@ class PinchState:
             )
         self.images = {g: img.substitute(subs) for g, img in self.images.items()}
         self.gaps[b] = self.gaps[b][:pos] + [u * s * v] + self.gaps[b][pos + 2 :]
-        block.pop(pos)
-        self._emit(b, c)
+        self.walks[b].pinch(c)
         self.records.append(PinchRecord(c, s.canonical_text(), same))
-
-    def _emit(self, b: int, c: int) -> None:
-        w = self.vertex_of[b].get(c)
-        if w is None:
-            raise AlgebraError(f"crossing {c} has no polygon vertex")
-        active = self.active_vertices[b]
-        i = active.index(w)
-        left = active[i - 1]
-        right = active[(i + 1) % len(active)]
-        active.pop(i)
-        edge = (left, right) if left < right else (right, left)
-        if not is_side(self.models[b].size, edge):
-            self.emitted[b].add(edge)
 
     # ------------------------------------------------------------------
     # plat-closure component tracking (reporting only)
@@ -202,10 +256,7 @@ class PinchState:
     # ------------------------------------------------------------------
 
     def block_triangulations(self) -> tuple[Triangulation, ...]:
-        out = []
-        for b in range(self.word.k):
-            out.append(Triangulation(self.models[b].size, frozenset(self.emitted[b])))
-        return tuple(out)
+        return tuple(walk.triangulation() for walk in self.walks)
 
 
 def sequence_to_triangulations(
@@ -214,35 +265,8 @@ def sequence_to_triangulations(
     """Per-block triangulations read off a complete admissible sequence,
     without the substitution algebra."""
     chords = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
-    word.require_rational_form()
-    survivors = [word.block_chords(b) for b in range(word.k)]
-    models = block_models(word)
-    vertex_of = []
-    active = []
-    for b in range(word.k):
-        block = word.block_chords(b)
-        labeled = block if (word.k > 1 and b == 0) else block[1:]
-        vertex_of.append({c: i + 1 for i, c in enumerate(labeled)})
-        active.append(list(range(1, models[b].size + 1)))
-    emitted: list[set] = [set() for _ in range(word.k)]
-    for step, c in enumerate(chords):
-        if c not in _candidates(word, survivors):
-            raise InputError(f"step {step + 1}: crossing {c} is not pinchable")
-        b = word.block_of(c)
-        survivors[b].remove(c)
-        w = vertex_of[b][c]
-        act = active[b]
-        i = act.index(w)
-        left, right = act[i - 1], act[(i + 1) % len(act)]
-        act.pop(i)
-        edge = (left, right) if left < right else (right, left)
-        if not is_side(models[b].size, edge):
-            emitted[b].add(edge)
-    if _candidates(word, survivors):
-        raise InputError("sequence is not complete")
-    return tuple(
-        Triangulation(models[b].size, frozenset(emitted[b])) for b in range(word.k)
-    )
+    walks = _walk(word, block_layouts(word), chords)
+    return tuple(walk.triangulation() for walk in walks)
 
 
 @dataclass(frozen=True)
@@ -303,7 +327,7 @@ def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunRes
         raise AlgebraError("forced base-point images are not units")
 
     tris = state.block_triangulations()
-    seed = merge_seeds([m.seed_from_triangulation(t) for m, t in zip(state.models, tris)])
+    seed = merge_seeds([m.seed_from_triangulation(t) for m, t in zip(block_models(word), tris)])
     retained = {a_name(c) for chord_list in blocks for c in chord_list}
     parametrization = {g: eps[g] for g in sorted(retained)}
     return RunResult(
@@ -404,51 +428,32 @@ def _image_t2(word: BridgeWord, state: PinchState, eps, t1: LaurentPolynomial) -
 def enumerate_complete_sequences(word: BridgeWord) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration of all complete admissible sequences (over
     all interleavings of the blocks)."""
-    word.require_rational_form()
+    layouts = block_layouts(word)
 
     def rec(survivors: list[list[int]], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        candidates = _candidates(word, survivors)
-        if not candidates:
+        complete = True
+        for b, layout in enumerate(layouts):
+            for c in layout.candidates(survivors[b]):
+                complete = False
+                nxt = list(survivors)
+                nxt[b] = [x for x in survivors[b] if x != c]
+                yield from rec(nxt, prefix + (c,))
+        if complete:
             yield prefix
-            return
-        for c in candidates:
-            b = word.block_of(c)
-            nxt = [list(s) for s in survivors]
-            nxt[b].remove(c)
-            yield from rec(nxt, prefix + (c,))
 
-    yield from rec([word.block_chords(b) for b in range(word.k)], ())
+    yield from rec([list(layout.chords) for layout in layouts], ())
 
 
-def _candidates(word: BridgeWord, survivors: list[list[int]]) -> list[int]:
-    """Currently pinchable crossings.
-
-    Any survivor of the first block of a multi-block word may be pinched
-    while more than one remains; later blocks never pinch their first
-    survivor, middle blocks stop at two survivors and the last block at
-    one.  A single-block word follows the last-block rule (its first
-    crossing survives and sweeps the terminal circle), which keeps the
-    class census at the Catalan number C_{n-1}.
-    """
-    out = []
-    k = word.k
-    for b, block in enumerate(survivors):
-        if b == 0 and k > 1:
-            if len(block) > 1:
-                out.extend(block)
-        elif b == k - 1:
-            if len(block) > 1:
-                out.extend(block[1:])
-        else:
-            if len(block) > 2:
-                out.extend(block[1:])
-    return out
-
-
-def _neighbor_sequences(word: BridgeWord, seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _neighbor_sequences(
+    word: BridgeWord,
+    seq: tuple[int, ...],
+    layouts: Sequence[BlockLayout] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """Sequences one commutation move away: adjacent transpositions of
     pinches that are not linked-list neighbors at the earlier moment, and
     the swap of a block's final pinch for the other available candidate."""
+    if layouts is None:
+        layouts = block_layouts(word)
     # transpositions
     for r in range(len(seq) - 1):
         c, d = seq[r], seq[r + 1]
@@ -456,7 +461,8 @@ def _neighbor_sequences(word: BridgeWord, seq: tuple[int, ...]) -> Iterator[tupl
         if bc != bd:
             yield seq[:r] + (d, c) + seq[r + 2 :]
             continue
-        block = [x for x in word.block_chords(bc) if x not in set(seq[:r])]
+        done = set(seq[:r])
+        block = [x for x in layouts[bc].chords if x not in done]
         i, j = block.index(c), block.index(d)
         if abs(i - j) >= 2:
             yield seq[:r] + (d, c) + seq[r + 2 :]
@@ -468,15 +474,12 @@ def _neighbor_sequences(word: BridgeWord, seq: tuple[int, ...]) -> Iterator[tupl
         last_of_block[word.block_of(c)] = r
     for b, r in last_of_block.items():
         done = set(seq[:r])
-        survivors = [
-            [x for x in word.block_chords(bb) if x not in done] for bb in range(word.k)
-        ]
-        pool = [c for c in _candidates(word, survivors) if word.block_of(c) == b]
-        for c in pool:
+        layout = layouts[b]
+        for c in layout.candidates([x for x in layout.chords if x not in done]):
             if c != seq[r]:
                 candidate = seq[:r] + (c,) + seq[r + 1 :]
                 try:
-                    sequence_to_triangulations(word, candidate)
+                    _walk(word, layouts, candidate)
                 except InputError:
                     continue
                 yield candidate
@@ -491,8 +494,9 @@ def commutation_equivalent(
     """Reachability under commutation moves, computed by orbit search."""
     a = s1.chords if isinstance(s1, PinchSequence) else tuple(s1)
     b = s2.chords if isinstance(s2, PinchSequence) else tuple(s2)
-    sequence_to_triangulations(word, a)
-    sequence_to_triangulations(word, b)
+    layouts = block_layouts(word)
+    _walk(word, layouts, a)
+    _walk(word, layouts, b)
     if a == b:
         return True
     seen = {a}
@@ -500,7 +504,7 @@ def commutation_equivalent(
     while frontier:
         nxt = []
         for s in frontier:
-            for t in _neighbor_sequences(word, s):
+            for t in _neighbor_sequences(word, s, layouts):
                 if t == b:
                     return True
                 if t not in seen:
@@ -517,13 +521,14 @@ def canonical_sequence(
 ) -> tuple[int, ...]:
     """Lexicographically least sequence in the commutation orbit."""
     a = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
-    sequence_to_triangulations(word, a)
+    layouts = block_layouts(word)
+    _walk(word, layouts, a)
     seen = {a}
     frontier = [a]
     while frontier:
         nxt = []
         for s in frontier:
-            for t in _neighbor_sequences(word, s):
+            for t in _neighbor_sequences(word, s, layouts):
                 if t not in seen:
                     if len(seen) >= cap:
                         raise BudgetError("commutation orbit exceeds the search cap")
@@ -537,52 +542,53 @@ def canonical_sequence(
 # filling classes
 
 
+def _block_greedy(layout: BlockLayout, target: Triangulation) -> tuple[int, ...]:
+    """Pinch order of one block whose emitted diagonals stay inside the
+    target: at every step the first candidate that emits a side or one of
+    the target's diagonals."""
+    walk = BlockWalk(layout)
+    out = []
+    while candidates := walk.candidates():
+        for c in candidates:
+            edge = walk.diagonal(c)
+            if edge is None or edge in target.diagonals:
+                break
+        else:
+            raise AlgebraError(f"no pinch compatible with {target} in block {layout.chords}")
+        walk.pinch(c)
+        out.append(c)
+    return tuple(out)
+
+
+def _checked_representative(
+    word: BridgeWord,
+    layouts: Sequence[BlockLayout],
+    target: Sequence[Triangulation],
+    seq: tuple[int, ...],
+) -> tuple[int, ...]:
+    """The sequence itself, once the walker has confirmed that it is
+    complete, admissible and emits exactly the target's diagonals."""
+    try:
+        walks = _walk(word, layouts, seq)
+    except InputError as exc:
+        raise AlgebraError(f"representative sequence {seq} is not admissible: {exc}") from None
+    if any(walk.emitted != t.diagonals for walk, t in zip(walks, target)):
+        raise AlgebraError("representative sequence does not reproduce the target")
+    return seq
+
+
 def representative_sequence(
     word: BridgeWord, target: Sequence[Triangulation]
 ) -> tuple[int, ...]:
     """A complete admissible sequence whose emitted diagonals reproduce the
     given per-block triangulations (blocks pinched left to right)."""
-    word.require_rational_form()
-    models = block_models(word)
-    out: list[int] = []
-    for b in range(word.k):
-        t = target[b]
-        if t.n != models[b].size:
-            raise InputError("triangulation size mismatch")
-        block = word.block_chords(b)
-        labeled = block if (word.k > 1 and b == 0) else block[1:]
-        vertex_of = {c: i + 1 for i, c in enumerate(labeled)}
-        active = list(range(1, models[b].size + 1))
-        survivors = list(block)
-        allowed = set(t.diagonals)
-        while True:
-            if word.k > 1 and b == 0:
-                candidates = survivors if len(survivors) > 1 else []
-            elif b == word.k - 1:
-                candidates = survivors[1:] if len(survivors) > 1 else []
-            else:
-                candidates = survivors[1:] if len(survivors) > 2 else []
-            if not candidates:
-                break
-            chosen = None
-            for c in candidates:
-                w = vertex_of[c]
-                i = active.index(w)
-                left, right = active[i - 1], active[(i + 1) % len(active)]
-                edge = (left, right) if left < right else (right, left)
-                if is_side(models[b].size, edge) or edge in allowed:
-                    chosen = (c, i)
-                    break
-            if chosen is None:
-                raise AlgebraError(f"no pinch compatible with {t} in block {b}")
-            c, i = chosen
-            active.pop(i)
-            survivors.remove(c)
-            out.append(c)
-    result = tuple(out)
-    if sequence_to_triangulations(word, result) != tuple(target):
-        raise AlgebraError("representative sequence does not reproduce the target")
-    return result
+    layouts = block_layouts(word)
+    if len(target) != len(layouts):
+        raise InputError(f"{word} needs {len(layouts)} triangulations, got {len(target)}")
+    if any(t.n != layout.size for layout, t in zip(layouts, target)):
+        raise InputError("triangulation size mismatch")
+    seq = tuple(c for layout, t in zip(layouts, target) for c in _block_greedy(layout, t))
+    return _checked_representative(word, layouts, target, seq)
 
 
 @dataclass(frozen=True)
@@ -611,15 +617,19 @@ def expected_filling_count(word: BridgeWord) -> int:
 def enumerate_filling_classes(word: BridgeWord, budget: int = 100000) -> FillingCensus:
     """Distinct per-block triangulation tuples over all admissible complete
     sequences, each with one representative sequence."""
-    word.require_rational_form()
-    models = block_models(word)
-    per_block = [len(triangulations(m.size)) for m in models]
-    total = 1
-    for c in per_block:
-        total *= c
+    layouts = block_layouts(word)
+    per_block = [triangulations(layout.size) for layout in layouts]
+    total = prod(len(tris) for tris in per_block)
     if total > budget:
         raise BudgetError(f"{total} filling classes exceed the budget {budget}")
+    # the greedy pinch order of each block's triangulations, computed once
+    choices = [
+        [(t, _block_greedy(layout, t)) for t in tris]
+        for layout, tris in zip(layouts, per_block)
+    ]
     reps = []
-    for combo in itertools.product(*(triangulations(m.size) for m in models)):
-        reps.append(representative_sequence(word, combo))
-    return FillingCensus(word, total, tuple(per_block), tuple(reps))
+    for combo in itertools.product(*choices):
+        target = [t for t, _ in combo]
+        seq = tuple(itertools.chain.from_iterable(head for _, head in combo))
+        reps.append(_checked_representative(word, layouts, target, seq))
+    return FillingCensus(word, total, tuple(len(tris) for tris in per_block), tuple(reps))

@@ -191,13 +191,60 @@ def quiver_from_triangulation(
     return Quiver.from_arrows(len(labels), arrows, frozen), labels
 
 
+@dataclass(frozen=True)
+class BlockLayout:
+    """Where one block of a rational-form word sits on its polygon, and how
+    it pinches.
+
+    The first block of a multi-block word labels polygon vertices 1.. with
+    all its crossings; every other block (and a single block) keeps its
+    first crossing off the polygon and never pinches it (``first_fixed``).
+    A block is done when ``keep`` crossings survive: one in the outer blocks
+    and a single block, two in the middle ones.  A single block thus follows
+    the last-block rule (its first crossing survives and sweeps the terminal
+    circle), which keeps its class census at the Catalan number C_{n-1}.
+    Polygon sizes: n+1 for the outer blocks and a single block, n for middle
+    blocks.
+    """
+
+    chords: tuple[int, ...]
+    size: int
+    vertex_of: Mapping[int, int]  # crossing -> polygon vertex, in crossing order
+    keep: int
+    first_fixed: bool
+
+    @classmethod
+    def of(cls, word: BridgeWord, block: int) -> "BlockLayout":
+        chords = tuple(word.block_chords(block))
+        outer = block in (0, word.k - 1)
+        first_fixed = word.k == 1 or block > 0
+        labeled = chords[1:] if first_fixed else chords
+        return cls(
+            chords,
+            len(chords) + 1 if outer else len(chords),
+            {c: v for v, c in enumerate(labeled, 1)},
+            1 if outer else 2,
+            first_fixed,
+        )
+
+    def candidates(self, survivors: Sequence[int]) -> list[int]:
+        """The crossings of this block pinchable among its survivors."""
+        if len(survivors) <= self.keep:
+            return []
+        return list(survivors[1:] if self.first_fixed else survivors)
+
+
+def block_layouts(word: BridgeWord) -> tuple[BlockLayout, ...]:
+    word.require_rational_form()
+    return tuple(BlockLayout.of(word, b) for b in range(word.k))
+
+
 class BlockModel:
     """Polygon model of one block of a rational-form word.
 
-    Polygon sizes: first block n1+1; middle blocks ni; last block nk+1; a
-    single-block word uses n+1.  Vertices 1.. carry the block's crossing
-    variables (interior blocks drop their first crossing, the last block has
-    two unlabeled corners), the frozen side is (N-1, N).
+    Size and vertex labels come from the block's ``BlockLayout``; vertices
+    1.. carry the block's crossing variables and the frozen side is
+    (N-1, N).
     """
 
     def __init__(self, word: BridgeWord, block: int, table: VariableTable | None = None) -> None:
@@ -206,23 +253,9 @@ class BlockModel:
             raise InputError(f"block {block} out of range")
         self.word = word
         self.block = block
-        n = word.blocks[block]
-        chords = word.block_chords(block)
-        if word.k == 1:
-            # single blocks follow the last-block model: the first crossing
-            # stays off the polygon and survives every pinching sequence
-            self.size = n + 1
-            vertex_chords = chords[1:]
-        elif block == 0:
-            self.size = n + 1
-            vertex_chords = chords
-        elif block == word.k - 1:
-            self.size = n + 1
-            vertex_chords = chords[1:]  # first crossing is not a polygon vertex
-        else:
-            self.size = n
-            vertex_chords = chords[1:]
-        self.vertex_chords = [f"a{c}" for c in vertex_chords]
+        layout = BlockLayout.of(word, block)
+        self.size = layout.size
+        self.vertex_chords = [f"a{c}" for c in layout.vertex_of]
         if table is None:
             table = VariableTable([f"a{c}" for c in range(1, word.total + 1)])
         self.table = table

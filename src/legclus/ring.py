@@ -414,6 +414,8 @@ class LaurentPolynomial:
 
     def __add__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         ring = self.ring
         big, small = self._packed, other._packed
         if len(big) < len(small):
@@ -437,13 +439,21 @@ class LaurentPolynomial:
         return LaurentPolynomial._make(self.table, ring, packed, self._lo, self._hi)
 
     def __sub__(self, other: PolyLike) -> "LaurentPolynomial":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other: PolyLike) -> "LaurentPolynomial":
-        return self._coerce(other) + (-self)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other: PolyLike) -> "LaurentPolynomial":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         lo, hi = self._lo + other._lo, self._hi + other._hi
         if lo < -EXP_LIMIT or hi > EXP_LIMIT:
             lo, hi = _product_range(self, other)

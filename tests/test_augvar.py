@@ -3,13 +3,16 @@ import pytest
 from legclus.augvar import (
     Style,
     closed_form_value,
+    count_block,
     count_points,
     enumerate_points,
     f_poly,
     forced_t1,
     forced_t2,
     homotopy_reduce,
+    first_row_distribution,
     initial_seed,
+    matrix_distribution,
     point_count_closed_form,
     presentation,
     solve_t2_char2,
@@ -129,6 +132,16 @@ def test_forced_units_exhaustive_dp():
     for w in rational_form_words(8):
         for p in (2, 3, 5):
             assert verify_forced_units_exhaustive(w, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_first_row_count_matches_full_matrix_distribution(p):
+    for length in range(6):
+        full = matrix_distribution(length, p)
+        assert len(first_row_distribution(length, p)) <= p * p
+        for nonzero in (False, True):
+            want = sum(cnt for m, cnt in full.items() if (m[0][0] != 0) == nonzero)
+            assert count_block(length, p, nonzero) == want
 
 
 def test_forced_t2_nonzero_odd_primes():

@@ -135,3 +135,32 @@ def test_fillings_svg(capsys):
     code, out = run(capsys, "fillings", "[3,3]", "--sequence", "1,2,5,6", "--format", "svg")
     assert code == 0
     assert out.startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mutate", "5", "--at", "9"],
+        ["mutate", "5", "--at", "x"],
+        ["mutate", "5", "--at", "0"],
+        ["mutate", "5", "--at", "5"],
+        ["augvar", "3", "--count", "--char", "4"],
+        ["augvar", "3", "--count", "--char", "0"],
+        ["seeds", "5", "--bound", "-1"],
+        ["fillings", "3", "--sequence", "x"],
+    ],
+)
+def test_bad_arguments_end_in_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "MISMATCH" not in captured.out
+
+
+def test_augvar_count_mismatch_exits_1(capsys, monkeypatch):
+    from legclus import augvar
+
+    monkeypatch.setattr(augvar, "count_points", lambda pres, p: -1)
+    code, out = run(capsys, "augvar", "[3,3]", "--char", "2", "--count")
+    assert code == 1
+    assert "[MISMATCH]" in out

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+from legclus import fillings
 
 from legclus.augvar import retained_block_chords
 from legclus.bridge import BridgeWord, rational_form_words
@@ -234,6 +237,47 @@ def test_every_tuple_achieved_small():
             sequence_to_triangulations(w, s) for s in enumerate_complete_sequences(w)
         }
         assert len(achieved) == expected_filling_count(w)
+
+
+def test_census_matches_every_complete_sequence_up_to_m9():
+    # the diagonals a block emits depend only on the order of its own
+    # pinches, so one sequence per tuple of per-block orders is walked;
+    # a stable sort by block is that tuple, concatenated
+    for w in rational_form_words(9):
+        census = enumerate_filling_classes(w)
+        assert len(census.representatives) == census.count == expected_filling_count(w)
+        classes = {sequence_to_triangulations(w, rep) for rep in census.representatives}
+        block_of = [w.block_of(c) for c in range(w.total + 1)].__getitem__
+        walked = {}
+        for seq in enumerate_complete_sequences(w):
+            walked.setdefault(tuple(sorted(seq, key=block_of)), seq)
+        reached = {sequence_to_triangulations(w, seq) for seq in walked.values()}
+        assert reached == classes, w
+
+
+@pytest.mark.parametrize("blocks", [(3, 3, 3), (4, 5), (2, 4, 3), (5,), (3, 2, 2, 3)])
+def test_pinch_state_walk_matches_sequence_to_triangulations(blocks):
+    w = BridgeWord(blocks)
+    rng = random.Random(sum(blocks) * 31 + len(blocks))
+    for _ in range(3):
+        st = PinchState(w)
+        seq = []
+        while not st.complete:
+            seq.append(rng.choice(st.pinchable_chords()))
+            st.apply_pinch(seq[-1])
+        assert st.block_triangulations() == sequence_to_triangulations(w, seq)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda seq: seq[::-1], lambda seq: (seq[-1],) + seq[1:]],
+    ids=["reversed-order", "repeated-chord"],
+)
+def test_census_self_check_catches_a_wrong_greedy(monkeypatch, corrupt):
+    greedy = fillings._block_greedy
+    monkeypatch.setattr(fillings, "_block_greedy", lambda layout, t: corrupt(greedy(layout, t)))
+    with pytest.raises(AlgebraError):
+        enumerate_filling_classes(BridgeWord((5, 4)))
 
 
 def test_representative_sequence_roundtrip():

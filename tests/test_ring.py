@@ -180,6 +180,17 @@ def test_variable_name():
         assert other.variable_name() is None
 
 
+@pytest.mark.parametrize(
+    "op",
+    [lambda x: x + "a", lambda x: "a" + x, lambda x: 1.5 * x, lambda x: x - "a"],
+    ids=["add", "radd", "rmul", "sub"],
+)
+def test_foreign_operand_raises_type_error(op):
+    x = LaurentPolynomial.variable(table_xyz(), Z, "x")
+    with pytest.raises(TypeError, match="unsupported operand|can only concatenate"):
+        op(x)
+
+
 # ----------------------------------------------------------------------
 # ring axioms and homomorphism properties on random polynomials
 
