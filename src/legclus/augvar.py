@@ -22,12 +22,14 @@ import enum
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from operator import mul
+from typing import Mapping, Sequence
 
 from .bridge import BridgeWord
 from .cluster import Quiver, Seed, merge_seeds
-from .continuant import continuant
-from .dga import DgPresentation, a_name, build_dga, is_augmentation
+from .continuant import continuant_int
+from .dga import a_name, build_dga, is_augmentation, window_continuant
 from .errors import BudgetError, InputError
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
@@ -43,21 +45,31 @@ def avar_table(word: BridgeWord) -> VariableTable:
     return VariableTable([a_name(j) for j in range(1, word.total + 1)])
 
 
-def _chord_poly(table: VariableTable, ring: Coefficients, chords: Sequence[int]) -> LaurentPolynomial:
-    xs = [LaurentPolynomial.variable(table, ring, a_name(c)) for c in chords]
-    return continuant(xs, table, ring)
+def defining_system(
+    word: BridgeWord, style: Style = Style.INEQUALITY
+) -> list[tuple[list[int], bool]]:
+    """Per block: the retained crossing indices, whose window continuant is
+    the block's defining polynomial, and whether that polynomial is an
+    inequation (nonzero) rather than an equation.
+
+    Every block after the first drops its free first crossing, except the
+    last block in equation style.  The polynomial is an inequation for a
+    single block and for the last block in inequality style.
+    """
+    k = word.k
+    out = []
+    for i in range(k):
+        chords = word.block_chords(i)
+        last = i == k - 1
+        keep_first = i == 0 or (last and style is Style.EQUATION)
+        nonzero = k == 1 or (last and style is Style.INEQUALITY)
+        out.append((chords if keep_first else chords[1:], nonzero))
+    return out
 
 
 def retained_block_chords(word: BridgeWord, style: Style = Style.INEQUALITY) -> list[list[int]]:
     """Per-block lists of retained crossing indices."""
-    if word.k == 1:
-        return [word.block_chords(0)]
-    out = [word.block_chords(0)]
-    for i in range(1, word.k - 1):
-        out.append(word.block_chords(i)[1:])
-    last = word.block_chords(word.k - 1)
-    out.append(last if style is Style.EQUATION else last[1:])
-    return out
+    return [chords for chords, _ in defining_system(word, style)]
 
 
 @dataclass(frozen=True)
@@ -65,9 +77,13 @@ class VarietyPresentation:
     word: BridgeWord
     style: Style
     table: VariableTable
-    block_chords: tuple[tuple[int, ...], ...]
+    system: tuple[tuple[tuple[int, ...], bool], ...]  # see defining_system
     equations: tuple[LaurentPolynomial, ...]
     inequations: tuple[LaurentPolynomial, ...]
+
+    @property
+    def block_chords(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(chords for chords, _ in self.system)
 
     @property
     def coordinates(self) -> tuple[str, ...]:
@@ -87,21 +103,16 @@ def presentation(word: BridgeWord, style: Style = Style.INEQUALITY) -> VarietyPr
         )
     table = avar_table(word)
     ring = Coefficients.integers()
-    blocks = retained_block_chords(word, style)
+    system = defining_system(word, style)
     equations = []
     inequations = []
-    for i, chords in enumerate(blocks):
-        poly = _chord_poly(table, ring, chords)
-        last = i == len(blocks) - 1
-        if word.k == 1 or (last and style is Style.INEQUALITY):
-            inequations.append(poly)
-        else:
-            equations.append(poly)
+    for chords, nonzero in system:
+        (inequations if nonzero else equations).append(window_continuant(table, ring, chords))
     return VarietyPresentation(
         word,
         style,
         table,
-        tuple(tuple(b) for b in blocks),
+        tuple((tuple(chords), nonzero) for chords, nonzero in system),
         tuple(equations),
         tuple(inequations),
     )
@@ -125,23 +136,15 @@ class VarietyPoint:
 
 def window_value(values: Mapping[str, int], p: int, chords: Sequence[int]) -> int:
     """Continuant of the chord window mod p; absent (free) chords count 0."""
-    prev, cur = 0, 1
-    for c in reversed(chords):
-        x = values.get(a_name(c), 0) % p
-        prev, cur = cur, (x * cur - prev) % p
-    return cur
+    return continuant_int((values.get(a_name(c), 0) for c in chords), p)
 
 
 def forced_t1(word: BridgeWord, values: Mapping[str, int], p: int) -> int:
-    """Product of the per-block window continuants left over from the first
-    closure differential; nonzero at every variety point."""
-    chords = [word.block_chords(i) for i in range(word.k)]
-    if word.k == 1:
-        return window_value(values, p, chords[0])
-    total = window_value(values, p, chords[0][:-1])  # K_L of block 1
-    for i in range(1, word.k - 1):
-        total = total * window_value(values, p, chords[i][1:-1]) % p  # K_M
-    total = total * window_value(values, p, chords[-1][1:]) % p  # K_R of block k
+    """Product of the per-block seed-window continuants left over from the
+    first closure differential; nonzero at every variety point."""
+    total = 1
+    for i in range(word.k):
+        total = total * window_value(values, p, word.seed_window(i)) % p
     return total
 
 
@@ -150,37 +153,24 @@ def forced_t2(word: BridgeWord, values: Mapping[str, int], p: int) -> int:
 
     On the variety the two-boundary disk sums collapse to a product of
     nonvanishing window continuants (the same cancellation that makes the
-    second closure equation redundant); the product below evaluates that
-    collapsed form, with free chords read as 0, and is therefore valid in
-    any characteristic.
+    second closure equation redundant): blocks 1, 3, 5, ... contribute
+    their seed windows and blocks 2, 4, ... their full windows, read with
+    the free first chord 0; for even k, block k divides by its seed window
+    instead.  This collapsed form is characteristic-free.  The disk
+    recursion ``dga.disk_recursion`` is not: it drops the signs and agrees
+    with this form only in characteristic 2 (over the words with m <= 8 at
+    p = 3, 5, 7 the two differ at points of words with k = 2 and k = 4),
+    so t2 is not evaluated through it here.
     """
     k = word.k
-    chords = [word.block_chords(i) for i in range(k)]
-    if k == 1:
-        return window_value(values, p, chords[0])
-
-    def K_full_free0(i: int) -> int:  # K_{n_i} with the block's first chord 0
-        return window_value(values, p, chords[i])
-
-    def K_M(i: int) -> int:
-        return window_value(values, p, chords[i][1:-1])
-
-    def chain(top: int) -> int:  # collapsed D_24 over blocks 1..top, top even
-        total = 1
-        j = top
-        while j >= 4:
-            total = total * K_full_free0(j - 1) % p * K_M(j - 2) % p
-            j -= 2
-        if j == 2:
-            total = total * K_full_free0(1) % p * window_value(values, p, chords[0][:-1]) % p
-        return total
-
-    field = Coefficients.prime_field(p)
-    k_r_last = window_value(values, p, chords[-1][1:])
-    if k % 2 == 1:
-        return k_r_last * chain(k - 1) % p
-    lead = window_value(values, p, chords[0][:-1]) if k == 2 else K_M(k - 2)
-    return lead * field.invert(k_r_last) % p * chain(k - 2) % p
+    total = 1
+    for i in range(k if k % 2 else k - 1):
+        chords = word.seed_window(i) if i % 2 == 0 else word.block_chords(i)
+        total = total * window_value(values, p, chords) % p
+    if k % 2 == 0:
+        last = window_value(values, p, word.seed_window(k - 1))
+        total = total * Coefficients.prime_field(p).invert(last) % p
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +178,11 @@ def forced_t2(word: BridgeWord, values: Mapping[str, int], p: int) -> int:
 
 
 def _block_solutions(length: int, p: int, nonzero: bool) -> list[tuple[int, ...]]:
-    out = []
-    for tup in itertools.product(range(p), repeat=length):
-        prev, cur = 0, 1
-        for x in reversed(tup):
-            prev, cur = cur, (x * cur - prev) % p
-        if (cur != 0) == nonzero:
-            out.append(tup)
-    return out
+    return [
+        tup
+        for tup in itertools.product(range(p), repeat=length)
+        if (continuant_int(tup, p) != 0) == nonzero
+    ]
 
 
 def matrix_distribution(length: int, p: int) -> Counter:
@@ -238,10 +225,7 @@ def count_block(length: int, p: int, nonzero: bool) -> int:
 def count_points(pres: VarietyPresentation, p: int) -> int:
     """Exhaustive transfer count of F_p points (no materialization)."""
     total = 1
-    blocks = pres.block_chords
-    for i, chords in enumerate(blocks):
-        last = i == len(blocks) - 1
-        nonzero = (pres.word.k == 1) or (last and pres.style is Style.INEQUALITY)
+    for chords, nonzero in pres.system:
         total *= count_block(len(chords), p, nonzero)
     return total
 
@@ -250,11 +234,10 @@ def verify_forced_units_exhaustive(word: BridgeWord, p: int) -> bool:
     """Check, block by block and over all of F_p, that no solution of a
     defining equation kills a factor of the forced t1 or t2 products."""
     word.require_rational_form()
-    if word.k == 1:
-        return True  # the only constraint is the inequation itself
-    for i in range(word.k - 1):
-        chords = retained_block_chords(word)[i]
-        for m, cnt in matrix_distribution(len(chords), p).items():
+    for chords, nonzero in defining_system(word):
+        if nonzero:
+            continue  # only an equation can kill a factor
+        for m in matrix_distribution(len(chords), p):
             if m[0][0] == 0 and (m[0][1] == 0 or m[1][0] == 0):
                 return False
     return True
@@ -278,11 +261,7 @@ def enumerate_points(
             raise BudgetError(
                 f"enumeration over ~{candidates} candidates exceeds budget {budget}"
             )
-    per_block = []
-    for i, chords in enumerate(blocks):
-        last = i == len(blocks) - 1
-        nonzero = (word.k == 1) or (last and pres.style is Style.INEQUALITY)
-        per_block.append(_block_solutions(len(chords), p, nonzero))
+    per_block = [_block_solutions(len(chords), p, nonzero) for chords, nonzero in pres.system]
     points = []
     names = [[a_name(c) for c in chords] for chords in blocks]
     for combo in itertools.product(*per_block):
@@ -319,13 +298,9 @@ def f_poly(n: int) -> LaurentPolynomial:
 
 
 def point_count_closed_form(word: BridgeWord) -> LaurentPolynomial:
+    """Product of f_n over the seed-window lengths n of the blocks."""
     word.require_rational_form()
-    if word.k == 1:
-        return f_poly(word.blocks[0])
-    out = f_poly(word.blocks[0] - 1)
-    for n in word.blocks[1:-1]:
-        out = out * f_poly(n - 2)
-    return out * f_poly(word.blocks[-1] - 1)
+    return reduce(mul, (f_poly(len(word.seed_window(i))) for i in range(word.k)))
 
 
 def closed_form_value(word: BridgeWord, p: int) -> int:
@@ -389,12 +364,6 @@ class WordSeed:
     def mutable_vertices(self) -> list[int]:
         return [v for block in self.block_mutables for v in block]
 
-    def ordinal_to_vertex(self, ordinal: int) -> int:
-        return self.mutable_vertices[ordinal - 1]
-
-    def vertex_to_ordinal(self, vertex: int) -> int:
-        return self.mutable_vertices.index(vertex) + 1
-
 
 def initial_seed(word: BridgeWord) -> WordSeed:
     """Path seed per block: K_1 -> K_2 -> ... -> [frozen window continuant].
@@ -411,18 +380,10 @@ def initial_seed(word: BridgeWord) -> WordSeed:
     block_frozen = []
     offset = 0
     for i in range(word.k):
-        chords = word.block_chords(i)
-        if word.k == 1:
-            prefix = chords
-        elif i == 0:
-            prefix = chords[:-1]
-        elif i == word.k - 1:
-            prefix = chords[1:]
-        else:
-            prefix = chords[1:-1]
+        prefix = word.seed_window(i)
         length = len(prefix)  # total path vertices including the frozen end
         variables = tuple(
-            _chord_poly(table, ring, prefix[: j + 1]) for j in range(length)
+            window_continuant(table, ring, prefix[: j + 1]) for j in range(length)
         )
         arrows = [(j, j + 1) for j in range(length - 1)]
         frozen = {length - 1} if length else set()

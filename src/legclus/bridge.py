@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .continuant import continuant_int
 from .errors import InputError
@@ -75,6 +75,17 @@ class BridgeWord:
         start = self.m[i - 1] if i > 0 else 0
         return list(range(start + 1, self.m[i] + 1))
 
+    def seed_window(self, i: int) -> list[int]:
+        """Chords of block i (0-based) whose window continuant enters the
+        seed and the first closure product: the whole block of a
+        single-block word, all but the last chord of the first block, all
+        but the first and last of a middle block, all but the first of the
+        last block."""
+        chords = self.block_chords(i)
+        start = 1 if i > 0 else 0
+        stop = len(chords) - 1 if i < self.k - 1 else len(chords)
+        return chords[start:stop]
+
     def block_of(self, chord: int) -> int:
         i = bisect_left(self.m, chord)
         if i == self.k:
@@ -103,11 +114,6 @@ class Fraction:
     @property
     def reduced(self) -> bool:
         return math.gcd(self.p, self.q) == 1
-
-    def normalized_q(self) -> int:
-        """Representative of q in (0, p], used for comparisons."""
-        q = self.q % self.p
-        return q if q else self.p
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"

@@ -9,7 +9,6 @@ so a failure is reported loudly as a bug).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -196,28 +195,20 @@ class Seed:
     def canonical_key(self) -> tuple:
         """Identification up to simultaneous permutation of mutable vertices.
 
-        Mutable vertices are sorted by the canonical text of their variables;
-        ties are broken by trying every permutation within the tied group and
-        keeping the lexicographically least serialization.
+        Mutable vertices are sorted by the canonical text of their
+        variables.  The variables of one cluster are algebraically
+        independent, hence distinct, so a tie raises ``AlgebraError``.
         """
         q = self.quiver
-        frozen_order = sorted(q.frozen)
         text = [v.canonical_text() for v in self.variables]
-        groups: list[list[int]] = []
-        for v in sorted(q.mutable, key=text.__getitem__):
-            if groups and text[groups[-1][0]] == text[v]:
-                groups[-1].append(v)
-            else:
-                groups.append([v])
-        best = None
-        for perm_parts in itertools.product(*(itertools.permutations(g) for g in groups)):
-            order = [v for part in perm_parts for v in part] + frozen_order
-            texts = tuple(text[v] for v in order)
-            matrix = tuple(tuple(q.matrix[i][j] for j in order) for i in order)
-            key = (texts, matrix, len(frozen_order))
-            if best is None or key < best:
-                best = key
-        return best
+        mutable = sorted(q.mutable, key=text.__getitem__)
+        for u, v in zip(mutable, mutable[1:]):
+            if text[u] == text[v]:
+                raise AlgebraError(f"mutable vertices {u} and {v} share the variable {text[u]}")
+        order = mutable + sorted(q.frozen)
+        texts = tuple(text[v] for v in order)
+        matrix = tuple(tuple(q.matrix[i][j] for j in order) for i in order)
+        return (texts, matrix, len(q.frozen))
 
 
 def merge_seeds(seeds: Sequence[Seed]) -> Seed:

@@ -12,7 +12,8 @@ this recursion and the mirrored one hold uniformly at the boundary.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
@@ -86,12 +87,61 @@ def _continuant_rec(
     return r
 
 
-def continuant_int(values: Sequence[int]) -> int:
-    """Integer continuant, by the same recursion."""
-    prev, cur = 0, 1  # K_{-1}, K_0 of the reversed tail
-    for x in reversed(values):
-        prev, cur = cur, x * cur - prev
+def continuant_int(values: Iterable[int], p: int | None = None) -> int:
+    """Integer continuant by the same recursion, reduced mod p when p is
+    given.  A continuant reads the same backwards, so the fold runs front
+    to back over any iterable."""
+    prev, cur = 0, 1  # K_{-1}, K_0
+    if p is None:
+        for x in values:
+            prev, cur = cur, x * cur - prev
+    else:
+        for x in values:
+            prev, cur = cur, (x * cur - prev) % p
     return cur
+
+
+def continuant_prefixes(values: Iterable[int], p: int) -> Iterator[int]:
+    """K_1, K_2, ... of the growing prefixes of ``values``, mod p."""
+    prev, cur = 0, 1
+    for x in values:
+        prev, cur = cur, (x * cur - prev) % p
+        yield cur
+
+
+class BlockContinuants:
+    """The window continuants of one block's chords c_1 .. c_n,
+
+        K   = K_n(c_1 .. c_n)          K_M = K_{n-2}(c_2 .. c_{n-1})
+        K_L = K_{n-1}(c_1 .. c_{n-1})  K_R = K_{n-1}(c_2 .. c_n)
+
+    each taken by ``window`` (a chord list -> the continuant of its
+    entries, in any ring) on first use.  A one-crossing block has
+    K_M = K_{-1} = ``zero``: the slice [1:-1] would give K_0 = 1 instead.
+    """
+
+    def __init__(
+        self, chords: Sequence[int], window: Callable[[Sequence[int]], Any], zero: Any
+    ) -> None:
+        self.chords = chords
+        self.window = window
+        self.zero = zero
+
+    @cached_property
+    def K(self) -> Any:
+        return self.window(self.chords)
+
+    @cached_property
+    def K_L(self) -> Any:
+        return self.window(self.chords[:-1])
+
+    @cached_property
+    def K_M(self) -> Any:
+        return self.window(self.chords[1:-1]) if len(self.chords) > 1 else self.zero
+
+    @cached_property
+    def K_R(self) -> Any:
+        return self.window(self.chords[1:])
 
 
 @dataclass(frozen=True)
@@ -171,18 +221,17 @@ def braid_matrix_product(
 
 
 def check_determinant_identity(n: int) -> bool:
-    """Verify K_{n-1}(x1..x_{n-1}) K_{n-1}(x2..xn) - K_n(x1..xn) K_{n-2}(x2..x_{n-1}) = 1
+    """Verify K_L K_R - K K_M = 1 for the windows of x1..xn, that is
+    K_{n-1}(x1..x_{n-1}) K_{n-1}(x2..xn) - K_n(x1..xn) K_{n-2}(x2..x_{n-1}) = 1,
     as an exact polynomial identity over the integers."""
     if n < 1:
         raise ValueError("n must be positive")
     table = VariableTable([f"x{i}" for i in range(1, n + 1)])
     ring = Coefficients.integers()
     xs = [LaurentPolynomial.variable(table, ring, f"x{i}") for i in range(1, n + 1)]
-    if n == 1:
-        inner = LaurentPolynomial.zero(table, ring)  # K_{-1} = 0 by convention
-    else:
-        inner = continuant(xs[1:-1], table, ring)
-    lhs = continuant(xs[:-1], table, ring) * continuant(xs[1:], table, ring) - continuant(
-        xs, table, ring
-    ) * inner
-    return lhs == LaurentPolynomial.constant(table, ring, 1)
+
+    def window(idx: Sequence[int]) -> LaurentPolynomial:
+        return continuant([xs[i] for i in idx], table, ring)
+
+    w = BlockContinuants(range(n), window, LaurentPolynomial.zero(table, ring))
+    return w.K_L * w.K_R - w.K * w.K_M == LaurentPolynomial.constant(table, ring, 1)

@@ -6,22 +6,24 @@ base-point variables t1, t2.  Every differential of an a-generator and of
 b1 lies in the subring generated by the a's and t1; b2's differential also
 involves b1 and t1^-1 when k is even.
 
-Window continuants of block i (crossings c_1 .. c_n of that block):
-
-    K   = K_n(c_1 .. c_n)          K_M = K_{n-2}(c_2 .. c_{n-1})
-    K_L = K_{n-1}(c_1 .. c_{n-1})  K_R = K_{n-1}(c_2 .. c_n)
-
-The two-block disk polynomials D_ab(i) (i even) follow the recursion with
-base case at i = 2; the D_23 step uses the (i-1)-block middle window.
+The window continuants K, K_L, K_M, K_R of every block come from
+``continuant.BlockContinuants``.  d(b1) is the product of the per-block
+seed windows (``BridgeWord.seed_window``).  The first block-boundary
+differential is K of block 1; each later one is a prefix of the d(b1)
+product times the block's K_R.  d(b2) is built from the two-boundary disk
+sums D_ab of ``disk_recursion`` (base case at two blocks, one step per
+further pair).  The recursion is written once, over any ring with + and
+*: ``fillings`` runs it on the chart images of the windows for the forced
+t2.  It carries no signs, so it holds in characteristic 2 only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping, Sequence
 
 from .bridge import BridgeWord
-from .continuant import continuant
+from .continuant import BlockContinuants, continuant
 from .errors import InputError
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
@@ -35,44 +37,48 @@ def dga_table(word: BridgeWord) -> VariableTable:
     return VariableTable(names, invertible=("t1", "t2"))
 
 
-@dataclass(frozen=True)
-class BlockContinuants:
-    K: LaurentPolynomial
-    K_L: LaurentPolynomial
-    K_M: LaurentPolynomial
-    K_R: LaurentPolynomial
+def window_continuant(
+    table: VariableTable, ring: Coefficients, chords: Sequence[int]
+) -> LaurentPolynomial:
+    """K of the crossing variables a_c for c in ``chords``."""
+    xs = [LaurentPolynomial.variable(table, ring, a_name(c)) for c in chords]
+    return continuant(xs, table, ring)
 
 
 def block_continuants(
-    word: BridgeWord,
-    i: int,
-    table: VariableTable | None = None,
-    ring: Coefficients | None = None,
+    word: BridgeWord, i: int, table: VariableTable, ring: Coefficients
 ) -> BlockContinuants:
     """Window continuants of block i (1-based, 1 <= i <= k)."""
     if not 1 <= i <= word.k:
         raise InputError(f"block index {i} out of range")
-    if table is None:
-        table = dga_table(word)
-    if ring is None:
-        ring = Coefficients.prime_field(2)
-    chords = word.block_chords(i - 1)
-
-    def window(lo: int, hi: int) -> LaurentPolynomial:
-        if hi - lo + 1 < 0:
-            return LaurentPolynomial.zero(table, ring)  # K_{-1} = 0
-        xs = [
-            LaurentPolynomial.variable(table, ring, a_name(c)) for c in chords[lo : hi + 1]
-        ]
-        return continuant(xs, table, ring)
-
-    n = len(chords)
     return BlockContinuants(
-        K=window(0, n - 1),
-        K_L=window(0, n - 2),
-        K_M=window(1, n - 2),
-        K_R=window(1, n - 1),
+        word.block_chords(i - 1),
+        lambda chords: window_continuant(table, ring, chords),
+        LaurentPolynomial.zero(table, ring),
     )
+
+
+def disk_recursion(blocks: Sequence[BlockContinuants]) -> tuple[Any, Any, Any, Any, Any]:
+    """Two-boundary disk sums (D13, D14, D23, D24, D34) of an even number
+    of blocks (``blocks[0]`` is block 1), in whatever ring the windows
+    live: the two-block base case, then one step per further pair."""
+    b1, b2 = blocks[0], blocks[1]
+    d13 = b2.K_M * b1.K_L
+    d14 = b2.K_L * b1.K_L
+    d23 = b2.K_R * b1.K_L
+    d24 = b2.K * b1.K_L
+    d34 = b1.K
+    for j in range(3, len(blocks), 2):
+        bj, bp = blocks[j], blocks[j - 1]
+        cross = bp.K_L * d34 + bp.K_M * d24
+        d13, d14, d23, d24, d34 = (
+            bj.K_M * bp.K_M * d13,
+            bj.K_L * cross + bj.K_M * d14,
+            bj.K_R * bp.K_M * d13,
+            bj.K_R * d14 + bj.K * cross,
+            bp.K * d34 + bp.K_R * d24,
+        )
+    return d13, d14, d23, d24, d34
 
 
 @dataclass(frozen=True)
@@ -86,46 +92,14 @@ class DiskTable:
     D34: LaurentPolynomial
 
 
-def disk_table(
-    word: BridgeWord,
-    i: int,
-    table: VariableTable | None = None,
-    ring: Coefficients | None = None,
-) -> DiskTable:
+def disk_table(word: BridgeWord, i: int, table: VariableTable, ring: Coefficients) -> DiskTable:
     """Two-boundary disk polynomials for blocks 1 through i (i even)."""
     if word.k < 2:
         raise InputError("disk tables need at least two blocks")
     if i % 2 != 0 or not 2 <= i <= word.k:
         raise InputError(f"block index {i} must be even and within the word")
-    if table is None:
-        table = dga_table(word)
-    if ring is None:
-        ring = Coefficients.prime_field(2)
-    blocks = {j: block_continuants(word, j, table, ring) for j in range(1, i + 1)}
-
-    b1, b2 = blocks[1], blocks[2]
-    current = DiskTable(
-        word,
-        2,
-        D13=b2.K_M * b1.K_L,
-        D14=b2.K_L * b1.K_L,
-        D23=b2.K_R * b1.K_L,
-        D24=b2.K * b1.K_L,
-        D34=b1.K,
-    )
-    for j in range(4, i + 1, 2):
-        bj, bp = blocks[j], blocks[j - 1]
-        cross = bp.K_L * current.D34 + bp.K_M * current.D24
-        current = DiskTable(
-            word,
-            j,
-            D13=bj.K_M * bp.K_M * current.D13,
-            D14=bj.K_L * cross + bj.K_M * current.D14,
-            D23=bj.K_R * bp.K_M * current.D13,
-            D24=bj.K_R * current.D14 + bj.K * cross,
-            D34=bp.K * current.D34 + bp.K_R * current.D24,
-        )
-    return current
+    blocks = [block_continuants(word, j, table, ring) for j in range(1, i + 1)]
+    return DiskTable(word, i, *disk_recursion(blocks))
 
 
 @dataclass(frozen=True)
@@ -159,35 +133,29 @@ def build_dga(word: BridgeWord) -> DgPresentation:
     diffs = {a_name(j): zero for j in range(1, word.total + 1)}
 
     k = word.k
+    blocks = [block_continuants(word, i, table, ring) for i in range(1, k + 1)]
     if k == 1:
-        kn = block_continuants(word, 1, table, ring).K
-        diffs["b1"] = kn + t1
-        diffs["b2"] = kn + t2
+        diffs["b1"] = blocks[0].K + t1
+        diffs["b2"] = blocks[0].K + t2
         return DgPresentation(word, table, ring, diffs)
 
-    blocks = {i: block_continuants(word, i, table, ring) for i in range(1, k + 1)}
     m = word.m
+    diffs[a_name(m[0] + 1)] = blocks[0].K
+    prefix = window_continuant(table, ring, word.seed_window(0))
+    for i in range(1, k - 1):
+        diffs[a_name(m[i] + 1)] = prefix * blocks[i].K_R
+        prefix = prefix * window_continuant(table, ring, word.seed_window(i))
+    diffs["b1"] = prefix * window_continuant(table, ring, word.seed_window(k - 1)) + t1
 
-    diffs[a_name(m[0] + 1)] = blocks[1].K
-    for i in range(2, k):
-        prod = blocks[1].K_L
-        for j in range(2, i):
-            prod = prod * blocks[j].K_M
-        diffs[a_name(m[i - 1] + 1)] = prod * blocks[i].K_R
-
-    b1_prod = blocks[1].K_L
-    for j in range(2, k):
-        b1_prod = b1_prod * blocks[j].K_M
-    diffs["b1"] = b1_prod * blocks[k].K_R + t1
-
+    last = blocks[-1]
     if k % 2 == 1:
-        d = disk_table(word, k - 1, table, ring)
-        diffs["b2"] = blocks[k].K * d.D34 + blocks[k].K_R * d.D24 + t2
+        _, _, _, d24, d34 = disk_recursion(blocks[:-1])
+        diffs["b2"] = last.K * d34 + last.K_R * d24 + t2
     else:
-        d = disk_table(word, k, table, ring)
+        d13, d14, _, d24, d34 = disk_recursion(blocks)
         b1v = LaurentPolynomial.variable(table, ring, "b1")
         t1_inv = t1.invert_unit()
-        diffs["b2"] = d.D14 + d.D34 * b1v * t1_inv * d.D13 + d.D24 * t1_inv * d.D13 + t2
+        diffs["b2"] = d14 + d34 * b1v * t1_inv * d13 + d24 * t1_inv * d13 + t2
 
     return DgPresentation(word, table, ring, diffs)
 

@@ -14,6 +14,11 @@ keeps a one-parameter terminal circle, swept by one extra unit).  Each
 pinch also emits the diagonal joining its polygon-vertex neighbors, reading
 off a per-block triangulation and hence a cluster seed.
 
+The forced base-point images are the closure products of ``dga`` taken on
+the chart: t1 multiplies the images of the seed windows, and t2 runs the
+same ``dga.disk_recursion`` as d(b2), with windows that take continuants
+of the chart images instead of the crossing variables.
+
 Every public call builds the word's ``BlockLayout`` tuple once (chords,
 polygon size, crossing -> vertex map, candidate rule per block).  One
 walker, ``BlockWalk.pinch``, drops the pinched vertex from the block's
@@ -31,14 +36,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
+from operator import mul
 from typing import Iterator, Sequence
 
-from .augvar import retained_block_chords
+from .augvar import defining_system
 from .bridge import BridgeWord
 from .cluster import Seed, merge_seeds
-from .continuant import continuant
-from .dga import a_name
+from .continuant import BlockContinuants, continuant
+from .dga import a_name, disk_recursion
 from .errors import AlgebraError, BudgetError, InputError
 from .polygon import (
     BlockLayout,
@@ -307,28 +314,28 @@ def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunRes
                 terminal[a_name(c)] = zero
     eps = {g: img.substitute(terminal) for g, img in state.images.items()}
 
-    def image_window(chord_list: Sequence[int]) -> LaurentPolynomial:
+    def window(chord_list: Sequence[int]) -> LaurentPolynomial:
         return continuant([eps[a_name(c)] for c in chord_list], state.table, F2)
 
     # the defining system must hold identically in the units
-    blocks = retained_block_chords(word)
-    for i, chord_list in enumerate(blocks):
-        window = image_window(chord_list)
-        last = i == len(blocks) - 1
-        if word.k == 1 or last:
-            if not window.is_unit():
-                raise AlgebraError(f"inequation image {window} is not a unit")
-        elif not window.is_zero:
-            raise AlgebraError(f"equation image {window} does not vanish")
+    system = defining_system(word)
+    for chord_list, nonzero in system:
+        image = window(chord_list)
+        if nonzero:
+            if not image.is_unit():
+                raise AlgebraError(f"inequation image {image} is not a unit")
+        elif not image.is_zero:
+            raise AlgebraError(f"equation image {image} does not vanish")
 
-    t1 = _image_t1(word, state, eps)
-    t2 = _image_t2(word, state, eps, t1)
+    t1 = reduce(mul, (window(word.seed_window(i)) for i in range(word.k)))
+    blocks = [BlockContinuants(word.block_chords(i), window, zero) for i in range(word.k)]
+    t2 = _image_t2(blocks, t1)
     if not (t1.is_unit() and t2.is_unit()):
         raise AlgebraError("forced base-point images are not units")
 
     tris = state.block_triangulations()
     seed = merge_seeds([m.seed_from_triangulation(t) for m, t in zip(block_models(word), tris)])
-    retained = {a_name(c) for chord_list in blocks for c in chord_list}
+    retained = {a_name(c) for chord_list, _ in system for c in chord_list}
     parametrization = {g: eps[g] for g in sorted(retained)}
     return RunResult(
         word,
@@ -364,58 +371,16 @@ def is_torus_chart(res: RunResult) -> bool:
     return all(chart_image(res, var).is_unit() for var in res.seed.variables)
 
 
-def _image_t1(word: BridgeWord, state: PinchState, eps) -> LaurentPolynomial:
-    def window(chord_list):
-        return continuant([eps[a_name(c)] for c in chord_list], state.table, F2)
-
-    blocks = [word.block_chords(b) for b in range(word.k)]
-    if word.k == 1:
-        return window(blocks[0])
-    out = window(blocks[0][:-1])
-    for i in range(1, word.k - 1):
-        out = out * window(blocks[i][1:-1])
-    return out * window(blocks[-1][1:])
-
-
-def _image_t2(word: BridgeWord, state: PinchState, eps, t1: LaurentPolynomial) -> LaurentPolynomial:
-    def window(chord_list):
-        return continuant([eps[a_name(c)] for c in chord_list], state.table, F2)
-
-    k = word.k
-    blocks = [word.block_chords(b) for b in range(word.k)]
+def _image_t2(blocks: Sequence[BlockContinuants], t1: LaurentPolynomial) -> LaurentPolynomial:
+    """Chart image of the second closure product: ``dga.disk_recursion``
+    on the chart images of the block windows."""
+    k = len(blocks)
     if k == 1:
-        return window(blocks[0])
-
-    def K(i):  # noqa: N802  (window continuants of block i, 1-based)
-        return window(blocks[i - 1])
-
-    def K_L(i):
-        return window(blocks[i - 1][:-1])
-
-    def K_M(i):
-        if len(blocks[i - 1]) < 2:
-            return LaurentPolynomial.zero(state.table, F2)  # K_{-1} = 0
-        return window(blocks[i - 1][1:-1])
-
-    def K_R(i):
-        return window(blocks[i - 1][1:])
-
-    # two-boundary disk images, same recursion as the differential tables
-    d13 = K_M(2) * K_L(1)
-    d14 = K_L(2) * K_L(1)
-    d24 = K(2) * K_L(1)
-    d34 = K(1)
-    top = k - 1 if k % 2 == 1 else k
-    for j in range(4, top + 1, 2):
-        cross = K_L(j - 1) * d34 + K_M(j - 1) * d24
-        d13, d14, d24, d34 = (
-            K_M(j) * K_M(j - 1) * d13,
-            K_L(j) * cross + K_M(j) * d14,
-            K_R(j) * d14 + K(j) * cross,
-            K(j - 1) * d34 + K_R(j - 1) * d24,
-        )
+        return blocks[0].K
     if k % 2 == 1:
-        return K(k) * d34 + K_R(k) * d24
+        _, _, _, d24, d34 = disk_recursion(blocks[:-1])
+        return blocks[-1].K * d34 + blocks[-1].K_R * d24
+    d13, d14, _, d24, d34 = disk_recursion(blocks)
     if not d34.is_zero:
         raise AlgebraError("two-boundary image D34 should vanish on the chart")
     return d14 + d24 * t1.invert_unit() * d13
@@ -485,6 +450,27 @@ def _neighbor_sequences(
                 yield candidate
 
 
+def _orbit(
+    word: BridgeWord, start: tuple[int, ...], layouts: Sequence[BlockLayout], cap: int
+) -> Iterator[tuple[int, ...]]:
+    """The commutation orbit of ``start``, breadth first: each sequence is
+    yielded when first reached (``start`` first), before the cap check."""
+    seen = {start}
+    frontier = [start]
+    yield start
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in _neighbor_sequences(word, s, layouts):
+                if t not in seen:
+                    yield t
+                    if len(seen) >= cap:
+                        raise BudgetError("commutation orbit exceeds the search cap")
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+
+
 def commutation_equivalent(
     word: BridgeWord,
     s1: PinchSequence | Sequence[int],
@@ -497,23 +483,7 @@ def commutation_equivalent(
     layouts = block_layouts(word)
     _walk(word, layouts, a)
     _walk(word, layouts, b)
-    if a == b:
-        return True
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in _neighbor_sequences(word, s, layouts):
-                if t == b:
-                    return True
-                if t not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetError("commutation orbit exceeds the search cap")
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return False
+    return any(t == b for t in _orbit(word, a, layouts, cap))
 
 
 def canonical_sequence(
@@ -523,19 +493,7 @@ def canonical_sequence(
     a = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
     layouts = block_layouts(word)
     _walk(word, layouts, a)
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in _neighbor_sequences(word, s, layouts):
-                if t not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetError("commutation orbit exceeds the search cap")
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return min(seen)
+    return min(_orbit(word, a, layouts, cap))
 
 
 # ----------------------------------------------------------------------

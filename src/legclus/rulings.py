@@ -20,11 +20,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from math import prod
+from typing import Iterable, Mapping
 
-from .augvar import VarietyPoint, WordSeed, initial_seed, retained_block_chords
+from .augvar import (
+    VarietyPoint,
+    defining_system,
+    forced_t1,
+    forced_t2,
+    point_count_closed_form,
+    retained_block_chords,
+    window_value,
+)
 from .bridge import BridgeWord
-from .continuant import continuant
+from .continuant import continuant_prefixes
 from .dga import a_name
 from .errors import AlgebraError, InputError
 from .ring import Coefficients, LaurentPolynomial, VariableTable
@@ -37,13 +46,7 @@ RETURN = "R"
 def undetermined_crossings(word: BridgeWord) -> list[list[int]]:
     """Per-block crossing indices whose ruling type is free."""
     word.require_rational_form()
-    if word.k == 1:
-        return [word.block_chords(0)]
-    out = [word.block_chords(0)[:-1]]
-    for i in range(1, word.k - 1):
-        out.append(word.block_chords(i)[1:-1])
-    out.append(word.block_chords(word.k - 1)[1:])
-    return out
+    return seed_prefixes(word)
 
 
 def forced_types(word: BridgeWord) -> dict[int, str]:
@@ -132,12 +135,8 @@ def fibonacci(n: int) -> int:
 
 
 def expected_ruling_count(word: BridgeWord) -> int:
-    if word.k == 1:
-        return fibonacci(word.blocks[0] + 1)
-    total = fibonacci(word.blocks[0])
-    for n in word.blocks[1:-1]:
-        total *= fibonacci(n - 1)
-    return total * fibonacci(word.blocks[-1])
+    """Domino tilings of every block's run of undetermined crossings."""
+    return prod(fibonacci(len(word.seed_window(i)) + 1) for i in range(word.k))
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +209,6 @@ def parametrize_stratum(
         departure otherwise        0
         return                     z_i (undetermined) or free (forced)
     """
-    from .augvar import forced_t1, forced_t2
-
     field = Coefficients.prime_field(p)
     full = ruling.full_types()
     values: dict[str, int] = {}
@@ -247,13 +244,9 @@ def parametrize_stratum(
 
 
 def _check_on_variety(word: BridgeWord, pt: VarietyPoint) -> None:
-    from .augvar import window_value
-
-    blocks = retained_block_chords(word)
-    for i, chords in enumerate(blocks):
+    for chords, nonzero in defining_system(word):
         value = window_value(pt.values, pt.p, chords)
-        last = i == len(blocks) - 1
-        if word.k == 1 or last:
+        if nonzero:
             if value == 0:
                 raise AlgebraError("parametrized point violates the inequation")
         elif value != 0:
@@ -263,18 +256,7 @@ def _check_on_variety(word: BridgeWord, pt: VarietyPoint) -> None:
 def seed_prefixes(word: BridgeWord) -> list[list[int]]:
     """Per-block chord prefixes whose window continuants are the initial
     cluster variables (the last prefix entry closes the frozen variable)."""
-    out = []
-    for b in range(word.k):
-        chords = word.block_chords(b)
-        if word.k == 1:
-            out.append(chords)
-        elif b == 0:
-            out.append(chords[:-1])
-        elif b == word.k - 1:
-            out.append(chords[1:])
-        else:
-            out.append(chords[1:-1])
-    return out
+    return [word.seed_window(i) for i in range(word.k)]
 
 
 def classify_point(word: BridgeWord, pt: VarietyPoint) -> frozenset[int]:
@@ -284,21 +266,15 @@ def classify_point(word: BridgeWord, pt: VarietyPoint) -> frozenset[int]:
     vanishing = set()
     ordinal = 0
     for prefix in seed_prefixes(word):
-        prev_ordinal_vanished = False
-        prev, cur = 0, 1  # K_{-1}, K_0 of the growing prefix
-        for j, c in enumerate(prefix, start=1):
-            x = pt.values.get(a_name(c), 0) % p
-            prev, cur = cur, (cur * x - prev) % p
-            if j == len(prefix):
-                break  # the full window is the frozen variable
+        prev_vanished = False
+        xs = (pt.values.get(a_name(c), 0) for c in prefix[:-1])  # the full window is frozen
+        for cur in continuant_prefixes(xs, p):
             ordinal += 1
             if cur == 0:
-                if prev_ordinal_vanished:
+                if prev_vanished:
                     raise AlgebraError("vanishing pattern is not an anticlique")
                 vanishing.add(ordinal)
-                prev_ordinal_vanished = True
-            else:
-                prev_ordinal_vanished = False
+            prev_vanished = cur == 0
     return frozenset(vanishing)
 
 
@@ -336,8 +312,6 @@ def kauffman_identity_check(word: BridgeWord) -> bool:
     """Symbolic check, in the ring with w^2 = q, that the stratified count,
     the closed-form point count, and the low-degree Kauffman coefficient
     q^(m/2-k+1) (w - w^-1) B(w - w^-1) all agree."""
-    from .augvar import point_count_closed_form
-
     counts = stratum_count_polynomial(word)
     closed = point_count_closed_form(word)
     if counts != closed:

@@ -110,3 +110,10 @@ def test_block_helpers():
     assert w.block_chords(1) == [6, 7, 8, 9]
     assert w.block_of(6) == 1
     assert continuant_int(w.blocks) == fraction_value(w).p
+
+
+def test_seed_window():
+    w = BridgeWord((3, 4, 2))
+    assert [w.seed_window(i) for i in range(3)] == [[1, 2], [5, 6], [9]]
+    assert BridgeWord((3,)).seed_window(0) == [1, 2, 3]
+    assert BridgeWord((1, 3)).seed_window(0) == []

@@ -177,3 +177,13 @@ def test_to_dot_shapes():
     q = path_quiver(2, frozen={1})
     dot = q.to_dot(["K1", "K2"])
     assert "shape=circle" in dot and "shape=box" in dot
+
+
+def test_canonical_key_rejects_equal_mutable_variables():
+    from legclus.errors import AlgebraError
+
+    t = VariableTable(["x"], invertible=("x",))
+    x = LaurentPolynomial.variable(t, Z, "x")
+    seed = Seed(path_quiver(3, frozen={2}), (x, x, x * x))
+    with pytest.raises(AlgebraError):
+        seed.canonical_key()

@@ -163,3 +163,11 @@ def test_d_squared_vanishes_on_a_and_b1():
         for j in range(1, w.total + 1):
             assert differential_of(dga, dga.differentials[f"a{j}"]).is_zero
         assert differential_of(dga, dga.differentials["b1"]).is_zero
+
+
+def test_one_crossing_block_has_zero_middle_window():
+    # K_M = K_{-1} = 0, not the K_0 = 1 of the empty slice [1:-1]
+    w = BridgeWord((3, 1))
+    t = dga_table(w)
+    assert block_continuants(w, 2, t, F2).K_M.is_zero
+    assert disk_table(w, 2, t, F2).D13.is_zero

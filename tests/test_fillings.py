@@ -315,3 +315,21 @@ def test_parametrization_solves_variety_identically():
                     if e and poly.table.names[i].startswith("s"):
                         used.add(poly.table.names[i])
         assert len(used) == unit_count(w)
+
+
+def test_chart_images_of_closure_differentials_match_forced_units():
+    # the closure products of dga and the chart images t1, t2 are one
+    # formula in two rings: map d(b1) + t1 (and, for odd k, d(b2) + t2)
+    # through the chart of the first complete sequence of every word
+    from legclus.dga import build_dga
+
+    words = [w for w in rational_form_words(8) if w.k >= 2]
+    for w in words:
+        res = run_sequence(w, next(enumerate_complete_sequences(w)))
+        dga = build_dga(w)
+        t1 = LaurentPolynomial.variable(dga.table, F2, "t1")
+        assert fillings.chart_image(res, dga.differentials["b1"] + t1) == res.t1
+        if w.k % 2 == 1:
+            t2 = LaurentPolynomial.variable(dga.table, F2, "t2")
+            assert fillings.chart_image(res, dga.differentials["b2"] + t2) == res.t2
+    assert len(words) == 79
