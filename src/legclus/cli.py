@@ -17,7 +17,7 @@ from typing import Any
 from . import augvar, bridge, fillings, rulings
 from .augvar import Style
 from .bridge import BridgeWord
-from .cluster import Seed, mutation_class
+from .cluster import Seed, merge_seeds, mutation_class, strip_unit_frozen
 from .errors import AlgebraError, BudgetError, InputError
 from .polygon import block_models
 from .ring import Coefficients
@@ -43,8 +43,6 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def _emit(args, payload: dict[str, Any], text: str) -> None:
-    out = sys.stdout
-    data = None
     if getattr(args, "json", False):
         data = json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, indent=2) + "\n"
     else:
@@ -54,7 +52,7 @@ def _emit(args, payload: dict[str, Any], text: str) -> None:
         with open(path, "w") as fh:
             fh.write(data)
     else:
-        out.write(data)
+        sys.stdout.write(data)
 
 
 def _seed_payload(seed: Seed) -> dict[str, Any]:
@@ -227,6 +225,8 @@ def cmd_seeds(args) -> None:
 
 def cmd_fillings(args) -> None:
     word = BridgeWord.parse(args.word)
+    if args.format == "svg" and not args.sequence:
+        raise InputError("--format svg draws a filling and needs --sequence")
     if args.sequence:
         seq = tuple(_int_list(args.sequence, "--sequence"))
         res = fillings.run_sequence(word, seq)
@@ -339,8 +339,6 @@ def cmd_verify(args) -> None:
     ws = augvar.initial_seed(word)
     checks.append(("really full rank", ws.seed.quiver.is_really_full_rank()))
     fan = [m.fan_seed() for m in block_models(word)]
-    from .cluster import merge_seeds, strip_unit_frozen
-
     merged = strip_unit_frozen(merge_seeds(fan))
     if word.k > 1:
         checks.append(
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=("text", "json")):
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", help="write output to a file")
 
@@ -415,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seed", help="initial cluster seed")
     p.add_argument("word")
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    p.add_argument("--format", choices=["text", "dot"], default="text")
     common(p)
     p.set_defaults(func=cmd_seed)
 
@@ -436,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--sequence", help="comma list of crossings to pinch")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--format", choices=["text", "json", "svg"], default="text")
+    p.add_argument("--format", choices=["text", "svg"], default="text")
     common(p)
     p.set_defaults(func=cmd_fillings)
 

@@ -31,7 +31,8 @@ def continuant(
     table: VariableTable | None = None,
     ring: Coefficients | None = None,
 ) -> LaurentPolynomial:
-    """K_n of the given entries (variables or scalars).
+    """K_n of the given entries (variables or scalars), by one back-to-front
+    fold of the defining recursion.
 
     For an empty list the result is the constant 1; ``table`` and ``ring``
     are then required unless at least one entry is a polynomial.  Results
@@ -47,44 +48,24 @@ def continuant(
     names = []
     for x in entries:
         name = x.variable_name() if isinstance(x, LaurentPolynomial) else None
-        if name is not None:
-            names.append(name)
-            continue
-        names = None
-        break
+        if name is None:
+            names = None
+            break
+        names.append(name)
 
-    cache = table.continuant_cache if names is not None else None
     key = (ring, tuple(names)) if names is not None else None
-    if cache is not None and key in cache:
-        return cache[key]
+    if key in table.continuant_cache:
+        return table.continuant_cache[key]
 
-    polys = [_as_poly(x, table, ring) for x in entries]
-    result = _continuant_rec(polys, 0, table, ring, {})
-    if cache is not None:
-        cache[key] = result
+    result = LaurentPolynomial.constant(table, ring, 1)
+    if entries:
+        # from K_0 = 1 and K_1 = the last entry, so no product by 1
+        prev, result = result, _as_poly(entries[-1], table, ring)
+        for x in reversed(entries[:-1]):
+            prev, result = result, _as_poly(x, table, ring) * result - prev
+    if key is not None:
+        table.continuant_cache[key] = result
     return result
-
-
-def _continuant_rec(
-    polys: list[LaurentPolynomial],
-    start: int,
-    table: VariableTable,
-    ring: Coefficients,
-    memo: dict,
-) -> LaurentPolynomial:
-    if start in memo:
-        return memo[start]
-    n = len(polys) - start
-    if n == 0:
-        r = LaurentPolynomial.constant(table, ring, 1)
-    elif n == 1:
-        r = polys[start]
-    else:
-        r = polys[start] * _continuant_rec(polys, start + 1, table, ring, memo) - _continuant_rec(
-            polys, start + 2, table, ring, memo
-        )
-    memo[start] = r
-    return r
 
 
 def continuant_int(values: Iterable[int], p: int | None = None) -> int:

@@ -5,7 +5,9 @@ same-block neighbors: with accumulated gap units u (left) and v (right),
 the pinched generator maps to s, the left neighbor gains (u^2 s)^-1, the
 right neighbor gains (v^2 s)^-1, and the two gaps merge to u*s*v.  Gaps at
 block ends are tracked the same way so later end pinches see the
-accumulated units.  Corrections never cross block boundaries.
+accumulated units.  Corrections never cross block boundaries, and every
+image holds only its own crossing variable and units, so a pinch updates
+just the three images it changes.
 
 A complete sequence leaves one crossing in the outer blocks and two in the
 middle ones; the terminal link's retained coordinates are the all-zero
@@ -14,10 +16,10 @@ keeps a one-parameter terminal circle, swept by one extra unit).  Each
 pinch also emits the diagonal joining its polygon-vertex neighbors, reading
 off a per-block triangulation and hence a cluster seed.
 
-The forced base-point images are the closure products of ``dga`` taken on
-the chart: t1 multiplies the images of the seed windows, and t2 runs the
-same ``dga.disk_recursion`` as d(b2), with windows that take continuants
-of the chart images instead of the crossing variables.
+Every chart value is the continuant of the chart images of a chord
+window: t1 multiplies those of the seed windows, t2 runs the same
+``dga.disk_recursion`` as d(b2), and the seed check reads the edge windows
+(``BlockLayout.edge_window``) of each block's diagonals and frozen side.
 
 Every public call builds the word's ``BlockLayout`` tuple once (chords,
 polygon size, crossing -> vertex map, candidate rule per block).  One
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .augvar import defining_system
 from .bridge import BridgeWord
@@ -157,7 +159,11 @@ def _walk(
 
 
 class PinchState:
-    """Mutable bookkeeping for one pinching run."""
+    """Mutable bookkeeping for one pinching run.
+
+    A survivor a_c's image is a_c plus units and a pinched one's holds
+    units only, so a pinch changes no image but those of c and of its
+    surviving neighbors."""
 
     def __init__(self, word: BridgeWord) -> None:
         self.word = word
@@ -186,34 +192,21 @@ class PinchState:
     def complete(self) -> bool:
         return not self.pinchable_chords()
 
-    def _next_unit(self) -> str:
-        return f"s{len(self.records) + 1}"
-
     def apply_pinch(self, c: int) -> None:
         if c not in self.pinchable_chords():
             raise InputError(f"crossing {c} is not pinchable now")
         b = self.word.block_of(c)
         block = self.walks[b].survivors
         pos = block.index(c)
-        u = self.gaps[b][pos]
-        v = self.gaps[b][pos + 1]
+        u, v = self.gaps[b][pos : pos + 2]
         same = self._same_component(c)
-        s = LaurentPolynomial.variable(self.table, F2, self._next_unit())
-        subs: dict[str, LaurentPolynomial] = {a_name(c): s}
+        s = LaurentPolynomial.variable(self.table, F2, f"s{len(self.records) + 1}")
+        self.images[a_name(c)] = self.images[a_name(c)].substitute({a_name(c): s})
         if pos > 0:
-            ln = block[pos - 1]
-            subs[a_name(ln)] = (
-                LaurentPolynomial.variable(self.table, F2, a_name(ln))
-                + (u * u * s).invert_unit()
-            )
+            self.images[a_name(block[pos - 1])] += (u * u * s).invert_unit()
         if pos < len(block) - 1:
-            rn = block[pos + 1]
-            subs[a_name(rn)] = (
-                LaurentPolynomial.variable(self.table, F2, a_name(rn))
-                + (v * v * s).invert_unit()
-            )
-        self.images = {g: img.substitute(subs) for g, img in self.images.items()}
-        self.gaps[b] = self.gaps[b][:pos] + [u * s * v] + self.gaps[b][pos + 2 :]
+            self.images[a_name(block[pos + 1])] += (v * v * s).invert_unit()
+        self.gaps[b][pos : pos + 2] = [u * s * v]
         self.walks[b].pinch(c)
         self.records.append(PinchRecord(c, s.canonical_text(), same))
 
@@ -302,20 +295,15 @@ def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunRes
             f"sequence of length {len(chords)} is not complete for {word}"
         )
 
-    terminal: dict[str, LaurentPolynomial] = {}
     zero = LaurentPolynomial.zero(state.table, F2)
     if word.k == 1:
-        (survivor,) = state.survivors[0]
-        last_unit = f"s{unit_count(word)}"
-        terminal[a_name(survivor)] = LaurentPolynomial.variable(state.table, F2, last_unit)
+        value = LaurentPolynomial.variable(state.table, F2, f"s{unit_count(word)}")
     else:
-        for block in state.survivors:
-            for c in block:
-                terminal[a_name(c)] = zero
-    eps = {g: img.substitute(terminal) for g, img in state.images.items()}
-
-    def window(chord_list: Sequence[int]) -> LaurentPolynomial:
-        return continuant([eps[a_name(c)] for c in chord_list], state.table, F2)
+        value = zero
+    eps = dict(state.images)
+    for c in itertools.chain.from_iterable(state.survivors):
+        eps[a_name(c)] = eps[a_name(c)].substitute({a_name(c): value})
+    window = _chart_window(eps, state.table)
 
     # the defining system must hold identically in the units
     system = defining_system(word)
@@ -366,9 +354,19 @@ def chart_image(res: RunResult, poly: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def is_torus_chart(res: RunResult) -> bool:
-    """True when every cluster variable of the assigned seed maps to a unit
-    monomial under the chart parametrization."""
-    return all(chart_image(res, var).is_unit() for var in res.seed.variables)
+    """True when every cluster variable of the assigned seed, the edge window
+    continuant of a block diagonal or frozen side, maps to a unit monomial."""
+    window = _chart_window(res.images, res.t1.table)
+    return all(
+        window(layout.edge_window(e)).is_unit()
+        for layout, t in zip(block_layouts(res.word), res.triangulations)
+        for e in (*t.diagonals, layout.frozen_side)
+    )
+
+
+def _chart_window(images: dict[str, LaurentPolynomial], table: VariableTable) -> Callable:
+    """A chord window -> the continuant of its chart images."""
+    return lambda chords: continuant([images[a_name(c)] for c in chords], table, F2)
 
 
 def _image_t2(blocks: Sequence[BlockContinuants], t1: LaurentPolynomial) -> LaurentPolynomial:

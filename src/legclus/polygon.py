@@ -3,7 +3,8 @@
 Vertices of an N-gon are labeled 1..N clockwise.  Block polygons attach one
 vertex per crossing of the block (plus one or two unlabeled corner vertices)
 and retain a single frozen side between vertices N-1 and N; every diagonal
-or side corresponds to a continuant in the block's crossing variables:
+or side carries the continuant of a window of the block's crossing
+variables, by the one rule of ``BlockLayout.edge_window``:
 
     (i, j) with j < N   ->  K_{j-i-1}(x_{i+1}, ..., x_{j-1})
     (i, N)              ->  K_{i-1}(x_1, ..., x_{i-1})
@@ -21,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .bridge import BridgeWord
 from .cluster import Quiver, Seed
-from .continuant import continuant
+from .dga import window_continuant
 from .errors import InputError
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
@@ -233,6 +234,21 @@ class BlockLayout:
             return []
         return list(survivors[1:] if self.first_fixed else survivors)
 
+    @property
+    def frozen_side(self) -> Edge:
+        return (self.size - 1, self.size)
+
+    def edge_window(self, e: Edge) -> tuple[int, ...]:
+        """The crossings whose continuant the edge e carries: for (i, j)
+        with j < N the labels strictly between i and j, for (i, N) the
+        labels below i."""
+        i, j = _norm_edge(*e)
+        n = self.size
+        if not (1 <= i < j <= n):
+            raise InputError(f"{e} is not an edge of a {n}-gon")
+        labels = tuple(self.vertex_of)
+        return labels[i : j - 1] if j < n else labels[: i - 1]
+
 
 def block_layouts(word: BridgeWord) -> tuple[BlockLayout, ...]:
     word.require_rational_form()
@@ -242,9 +258,9 @@ def block_layouts(word: BridgeWord) -> tuple[BlockLayout, ...]:
 class BlockModel:
     """Polygon model of one block of a rational-form word.
 
-    Size and vertex labels come from the block's ``BlockLayout``; vertices
-    1.. carry the block's crossing variables and the frozen side is
-    (N-1, N).
+    Size, vertex labels, frozen side (N-1, N) and edge windows come from
+    the block's ``BlockLayout``; vertices 1.. carry the block's crossing
+    variables.
     """
 
     def __init__(self, word: BridgeWord, block: int, table: VariableTable | None = None) -> None:
@@ -253,9 +269,8 @@ class BlockModel:
             raise InputError(f"block {block} out of range")
         self.word = word
         self.block = block
-        layout = BlockLayout.of(word, block)
-        self.size = layout.size
-        self.vertex_chords = [f"a{c}" for c in layout.vertex_of]
+        self.layout = BlockLayout.of(word, block)
+        self.size = self.layout.size
         if table is None:
             table = VariableTable([f"a{c}" for c in range(1, word.total + 1)])
         self.table = table
@@ -263,23 +278,10 @@ class BlockModel:
 
     @property
     def frozen_side(self) -> Edge:
-        return (self.size - 1, self.size)
-
-    def _xs(self, lo: int, hi: int) -> list[LaurentPolynomial]:
-        """Variables x_lo .. x_hi (1-based positions among vertex labels)."""
-        return [
-            LaurentPolynomial.variable(self.table, self.ring, self.vertex_chords[i - 1])
-            for i in range(lo, hi + 1)
-        ]
+        return self.layout.frozen_side
 
     def diagonal_to_continuant(self, e: Edge) -> LaurentPolynomial:
-        i, j = _norm_edge(*e)
-        n = self.size
-        if not (1 <= i < j <= n):
-            raise InputError(f"{e} is not an edge of a {n}-gon")
-        if j < n:
-            return continuant(self._xs(i + 1, j - 1), self.table, self.ring)
-        return continuant(self._xs(1, i - 1), self.table, self.ring)
+        return window_continuant(self.table, self.ring, self.layout.edge_window(e))
 
     def seed_from_triangulation(self, t: Triangulation) -> Seed:
         if t.n != self.size:

@@ -164,3 +164,20 @@ def test_augvar_count_mismatch_exits_1(capsys, monkeypatch):
     code, out = run(capsys, "augvar", "[3,3]", "--char", "2", "--count")
     assert code == 1
     assert "[MISMATCH]" in out
+
+
+def test_format_json_is_a_usage_error(capsys):
+    for argv in (["seed", "5,4", "--format", "json"], ["fillings", "3,3", "--format", "json"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'json'" in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_fillings_svg_needs_a_sequence(capsys):
+    assert main(["fillings", "3,3", "--format", "svg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -12,13 +13,16 @@ from legclus.fillings import (
     PinchSequence,
     PinchState,
     canonical_sequence,
+    chart_image,
     commutation_equivalent,
     enumerate_complete_sequences,
     enumerate_filling_classes,
     expected_filling_count,
+    is_torus_chart,
     pinch_count,
     representative_sequence,
     run_sequence,
+    run_table,
     sequence_to_triangulations,
     unit_count,
 )
@@ -333,3 +337,65 @@ def test_chart_images_of_closure_differentials_match_forced_units():
             t2 = LaurentPolynomial.variable(dga.table, F2, "t2")
             assert fillings.chart_image(res, dga.differentials["b2"] + t2) == res.t2
     assert len(words) == 79
+
+
+def whole_table_images(w, seq):
+    """The images after each pinch of seq, with every pinch substituted
+    into every image: the pinch rule without the locality invariant."""
+    table = run_table(w)
+
+    def var(name):
+        return LaurentPolynomial.variable(table, F2, name)
+
+    survivors = [list(w.block_chords(b)) for b in range(w.k)]
+    one = LaurentPolynomial.constant(table, F2, 1)
+    gaps = [[one] * (len(block) + 1) for block in survivors]
+    images = {f"a{j}": var(f"a{j}") for j in range(1, w.total + 1)}
+    for step, c in enumerate(seq, 1):
+        b = w.block_of(c)
+        block = survivors[b]
+        pos = block.index(c)
+        u, v = gaps[b][pos], gaps[b][pos + 1]
+        s = var(f"s{step}")
+        subs = {f"a{c}": s}
+        if pos > 0:
+            subs[f"a{block[pos - 1]}"] = var(f"a{block[pos - 1]}") + (u * u * s).invert_unit()
+        if pos < len(block) - 1:
+            subs[f"a{block[pos + 1]}"] = var(f"a{block[pos + 1]}") + (v * v * s).invert_unit()
+        images = {g: img.substitute(subs) for g, img in images.items()}
+        gaps[b][pos : pos + 2] = [u * s * v]
+        del block[pos]
+        yield images
+
+
+@pytest.mark.parametrize(
+    "blocks", [(3, 3, 3), (4, 5), (2, 4, 3), (5,), (3, 2, 2, 3), (1, 3, 1)]
+)
+def test_local_pinches_match_whole_table_substitution(blocks):
+    w = BridgeWord(blocks)
+    rng = random.Random(sum(blocks) * 17 + len(blocks))
+    for _ in range(3):
+        st = PinchState(w)
+        seq = []
+        while not st.complete:
+            seq.append(rng.choice(st.pinchable_chords()))
+            st.apply_pinch(seq[-1])
+        st = PinchState(w)
+        for c, images in zip(seq, whole_table_images(w, seq)):
+            st.apply_pinch(c)
+            assert st.images == images, (seq, c)
+
+
+def test_torus_chart_check_rejects_a_broken_image():
+    # every chart of a complete sequence passes, so break one image at a
+    # time and compare the windowed check with the term-by-term oracle
+    verdicts = []
+    for blocks in [(3, 3), (4,), (2, 4, 3)]:
+        w = BridgeWord(blocks)
+        res = run_sequence(w, next(enumerate_complete_sequences(w)))
+        for g in res.images:
+            bad = dataclasses.replace(res, images={**res.images, g: res.images[g] + 1})
+            verdict = is_torus_chart(bad)
+            assert verdict == all(chart_image(bad, v).is_unit() for v in bad.seed.variables)
+            verdicts.append(verdict)
+    assert len(verdicts) == 19 and verdicts.count(False) == 12

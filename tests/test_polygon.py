@@ -8,6 +8,7 @@ from legclus.cluster import Seed
 from legclus.continuant import continuant
 from legclus.errors import InputError
 from legclus.polygon import (
+    BlockLayout,
     BlockModel,
     Triangulation,
     block_models,
@@ -278,3 +279,30 @@ def test_svg_and_text_render():
     assert t.to_text() == "T(5): 13,14"
     svg = t.to_svg()
     assert svg.startswith("<svg") and svg.count("<line") == 2
+
+
+@pytest.mark.parametrize(
+    "blocks, block, windows",
+    [
+        # first block: all crossings label vertices 1..n
+        ((3, 2), 0, {(1, 3): (2,), (2, 4): (1,), (3, 4): (1, 2), (1, 2): (), (1, 4): ()}),
+        # middle block: the first crossing stays off the polygon
+        ((2, 3, 2), 1, {(1, 2): (), (2, 3): (4,), (1, 3): ()}),
+        # last block
+        ((2, 3), 1, {(1, 3): (5,), (2, 4): (4,), (3, 4): (4, 5), (1, 4): (), (2, 3): ()}),
+        # a single block follows the last-block rule
+        ((4,), 0, {(1, 3): (3,), (2, 4): (4,), (1, 4): (3, 4), (2, 5): (2,), (3, 5): (2, 3),
+                   (4, 5): (2, 3, 4), (1, 5): ()}),
+    ],
+)
+def test_edge_window(blocks, block, windows):
+    layout = BlockLayout.of(BridgeWord(blocks), block)
+    assert layout.edge_window(layout.frozen_side) == windows[layout.frozen_side]
+    for (i, j), window in windows.items():
+        assert layout.edge_window((i, j)) == layout.edge_window((j, i)) == window
+
+
+@pytest.mark.parametrize("edge", [(0, 2), (2, 2), (3, 6), (1, 1)])
+def test_edge_window_rejects_a_non_edge(edge):
+    with pytest.raises(InputError):
+        BlockLayout.of(BridgeWord((4,)), 0).edge_window(edge)
