@@ -143,8 +143,8 @@ def forced_t1(word: BridgeWord, values: Mapping[str, int], p: int) -> int:
     """Product of the per-block seed-window continuants left over from the
     first closure differential; nonzero at every variety point."""
     total = 1
-    for i in range(word.k):
-        total = total * window_value(values, p, word.seed_window(i)) % p
+    for chords in word.seed_windows:
+        total = total * window_value(values, p, chords) % p
     return total
 
 
@@ -162,13 +162,13 @@ def forced_t2(word: BridgeWord, values: Mapping[str, int], p: int) -> int:
     p = 3, 5, 7 the two differ at points of words with k = 2 and k = 4),
     so t2 is not evaluated through it here.
     """
-    k = word.k
+    k, windows = word.k, word.seed_windows
     total = 1
     for i in range(k if k % 2 else k - 1):
-        chords = word.seed_window(i) if i % 2 == 0 else word.block_chords(i)
+        chords = windows[i] if i % 2 == 0 else word.block_chords(i)
         total = total * window_value(values, p, chords) % p
     if k % 2 == 0:
-        last = window_value(values, p, word.seed_window(k - 1))
+        last = window_value(values, p, windows[k - 1])
         total = total * Coefficients.prime_field(p).invert(last) % p
     return total
 
@@ -300,7 +300,7 @@ def f_poly(n: int) -> LaurentPolynomial:
 def point_count_closed_form(word: BridgeWord) -> LaurentPolynomial:
     """Product of f_n over the seed-window lengths n of the blocks."""
     word.require_rational_form()
-    return reduce(mul, (f_poly(len(word.seed_window(i))) for i in range(word.k)))
+    return reduce(mul, (f_poly(len(chords)) for chords in word.seed_windows))
 
 
 def closed_form_value(word: BridgeWord, p: int) -> int:
@@ -379,8 +379,7 @@ def initial_seed(word: BridgeWord) -> WordSeed:
     block_mutables = []
     block_frozen = []
     offset = 0
-    for i in range(word.k):
-        prefix = word.seed_window(i)
+    for prefix in word.seed_windows:
         length = len(prefix)  # total path vertices including the frozen end
         variables = tuple(
             window_continuant(table, ring, prefix[: j + 1]) for j in range(length)

@@ -75,16 +75,20 @@ class BridgeWord:
         start = self.m[i - 1] if i > 0 else 0
         return list(range(start + 1, self.m[i] + 1))
 
-    def seed_window(self, i: int) -> list[int]:
-        """Chords of block i (0-based) whose window continuant enters the
-        seed and the first closure product: the whole block of a
-        single-block word, all but the last chord of the first block, all
-        but the first and last of a middle block, all but the first of the
-        last block."""
-        chords = self.block_chords(i)
-        start = 1 if i > 0 else 0
-        stop = len(chords) - 1 if i < self.k - 1 else len(chords)
-        return chords[start:stop]
+    @cached_property
+    def seed_windows(self) -> tuple[tuple[int, ...], ...]:
+        """Per block, the chords whose window continuant enters the seed
+        and the first closure product: the whole block of a single-block
+        word, all but the last chord of the first block, all but the first
+        and last of a middle block, all but the first of the last block
+        (computed once per word)."""
+        out = []
+        for i in range(self.k):
+            chords = self.block_chords(i)
+            start = 1 if i > 0 else 0
+            stop = len(chords) - 1 if i < self.k - 1 else len(chords)
+            out.append(tuple(chords[start:stop]))
+        return tuple(out)
 
     def block_of(self, chord: int) -> int:
         i = bisect_left(self.m, chord)

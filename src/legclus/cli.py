@@ -206,10 +206,7 @@ def cmd_mutate(args) -> None:
 def cmd_seeds(args) -> None:
     word = BridgeWord.parse(args.word)
     ws = augvar.initial_seed(word)
-    bound = _budget(args.bound)
-    if bound < 1:
-        raise InputError(f"the seed bound must be at least 1, got {bound}")
-    seeds, exceeded = mutation_class(ws.seed, bound=bound)
+    seeds, exceeded = mutation_class(ws.seed, bound=_budget(args.bound))
     lines = [f"mutation class of {word}: {len(seeds)} seeds" + (" (bound hit)" if exceeded else "")]
     payload = {
         "word": list(word.blocks),
@@ -425,7 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seeds", help="mutation class")
     p.add_argument("word")
-    p.add_argument("--enumerate", action="store_true")
+    p.add_argument(
+        "--enumerate",
+        action="store_true",
+        help="list the seeds: breadth-first from the initial seed for a "
+        "connected quiver; for a quiver of several components (e.g. one per "
+        "block) in product order, the last component varying fastest",
+    )
     p.add_argument("--bound", type=int, default=10000)
     common(p)
     p.set_defaults(func=cmd_seeds)

@@ -9,7 +9,10 @@ so a failure is reported loudly as a bug).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import prod
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import AlgebraError, BudgetError, InputError
@@ -22,15 +25,16 @@ class Quiver:
     frozen: frozenset[int]
 
     def __post_init__(self) -> None:
-        n = len(self.matrix)
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
+        m = tuple(map(tuple, self.matrix))
+        n = len(m)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "frozen", frozenset(self.frozen))
-        if any(len(row) != n for row in self.matrix):
+        if any(len(row) != n for row in m):
             raise InputError("exchange matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise InputError("exchange matrix must be skew-symmetric")
+        # every m[i][j] + m[j][i], read row by row and column by column
+        flat = itertools.chain.from_iterable
+        if any(map(add, flat(m), flat(zip(*m)))):
+            raise InputError("exchange matrix must be skew-symmetric")
         if any(v < 0 or v >= n for v in self.frozen):
             raise InputError("frozen vertex out of range")
 
@@ -51,21 +55,25 @@ class Quiver:
         return [v for v in range(self.size) if v not in self.frozen]
 
     def mutate(self, k: int) -> "Quiver":
+        """Matrix mutation at k.  Only row and column k and the entries
+        between an in-neighbour and an out-neighbour of k change."""
         if k in self.frozen:
             raise InputError(f"vertex {k} is frozen")
         if not 0 <= k < self.size:
             raise InputError(f"vertex {k} out of range")
-        n = self.size
         e = self.matrix
-        new = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if k in (i, j):
-                    new[i][j] = -e[i][j]
-                else:
-                    new[i][j] = e[i][j] + max(e[i][k], 0) * max(e[k][j], 0) - max(
-                        -e[i][k], 0
-                    ) * max(-e[k][j], 0)
+        new = [list(row) for row in e]
+        ek = e[k]
+        nbrs = [j for j, x in enumerate(ek) if x]
+        for i in nbrs:
+            eik, row = e[i][k], new[i]
+            row[k], new[k][i] = -eik, -ek[i]
+            for j in nbrs:
+                ekj = ek[j]
+                if eik > 0 and ekj > 0:
+                    row[j] += eik * ekj
+                elif eik < 0 and ekj < 0:
+                    row[j] -= eik * ekj
         return Quiver(tuple(tuple(row) for row in new), self.frozen)
 
     def anticliques(self) -> list[frozenset[int]]:
@@ -193,22 +201,27 @@ class Seed:
         return Seed(q.mutate(k), tuple(variables))
 
     def canonical_key(self) -> tuple:
-        """Identification up to simultaneous permutation of mutable vertices.
+        """Identification up to simultaneous permutation of mutable vertices
+        (see ``_canonical_key``)."""
+        return _canonical_key(self.quiver, [v.canonical_text() for v in self.variables])
 
-        Mutable vertices are sorted by the canonical text of their
-        variables.  The variables of one cluster are algebraically
-        independent, hence distinct, so a tie raises ``AlgebraError``.
-        """
-        q = self.quiver
-        text = [v.canonical_text() for v in self.variables]
-        mutable = sorted(q.mutable, key=text.__getitem__)
-        for u, v in zip(mutable, mutable[1:]):
-            if text[u] == text[v]:
-                raise AlgebraError(f"mutable vertices {u} and {v} share the variable {text[u]}")
-        order = mutable + sorted(q.frozen)
-        texts = tuple(text[v] for v in order)
-        matrix = tuple(tuple(q.matrix[i][j] for j in order) for i in order)
-        return (texts, matrix, len(q.frozen))
+
+def _canonical_key(quiver: Quiver, text: Sequence[str]) -> tuple:
+    """The key of a seed with this quiver whose variables have the given
+    canonical texts.
+
+    Mutable vertices are sorted by the canonical text of their variables.
+    The variables of one cluster are algebraically independent, hence
+    distinct, so a tie raises ``AlgebraError``.
+    """
+    mutable = sorted(quiver.mutable, key=text.__getitem__)
+    for u, v in zip(mutable, mutable[1:]):
+        if text[u] == text[v]:
+            raise AlgebraError(f"mutable vertices {u} and {v} share the variable {text[u]}")
+    order = mutable + sorted(quiver.frozen)
+    texts = tuple(text[v] for v in order)
+    matrix = tuple(tuple(quiver.matrix[i][j] for j in order) for i in order)
+    return (texts, matrix, len(quiver.frozen))
 
 
 def merge_seeds(seeds: Sequence[Seed]) -> Seed:
@@ -246,30 +259,121 @@ def strip_unit_frozen(seed: Seed) -> Seed:
             )
         )
     ]
-    matrix = tuple(tuple(seed.quiver.matrix[i][j] for j in keep) for i in keep)
-    frozen = frozenset(keep.index(v) for v in seed.quiver.frozen if v in keep)
-    return Seed(Quiver(matrix, frozen), tuple(seed.variables[v] for v in keep))
+    return _restrict(seed, keep)
 
 
 def mutation_class(seed: Seed, bound: int = 10000) -> tuple[list[Seed], bool]:
-    """Breadth-first closure under mutation, seeds identified by canonical
-    key.  Returns (seeds, exceeded); when the bound is hit the partial set
-    is returned with exceeded=True."""
-    seen = {seed.canonical_key(): seed}
-    frontier = [seed]
+    """The seeds mutation-equivalent to ``seed``, identified by canonical
+    key.  Returns (seeds, exceeded).
+
+    The vertices split into the connected components of the whole exchange
+    matrix, frozen vertices included.  No arrow joins two components, so
+    mutation in one leaves the others alone and the class is the product of
+    the components' classes.  Each component's class is closed breadth-first
+    from its part of ``seed``; the full seeds are then assembled by
+    ``itertools.product`` over the components ordered by their first
+    vertex, the last component varying fastest.  A one-component seed is
+    listed in breadth-first order.  Either way the first seed is ``seed``.
+
+    ``min(bound, |class|)`` seeds are returned, and ``exceeded`` is True
+    exactly when the class has more than ``bound`` seeds.
+    """
+    if bound < 1:
+        raise InputError(f"the seed bound must be at least 1, got {bound}")
+    components = _components(seed.quiver)
+    if len(components) <= 1:
+        return _closure(seed, bound)
+    # ties between the variables of two components show only in the full key
+    seed.canonical_key()
+    classes, exceeded = [], False
+    for verts in components:
+        part = _restrict(seed, verts)
+        if exceeded:
+            # an earlier factor alone has more than ``bound`` seeds, so the
+            # listing below never leaves this one's first seed
+            classes.append([part])
+        else:
+            part_class, exceeded = _closure(part, bound)
+            classes.append(part_class)
+    if not exceeded:
+        exceeded = prod(map(len, classes)) > bound
+    # each seed of a factor as (vertex, full-width matrix row, variable)
+    n = seed.quiver.size
+    factors = []
+    for verts, part_class in zip(components, classes):
+        members = []
+        for part in part_class:
+            rows = []
+            for src in part.quiver.matrix:
+                row = [0] * n
+                for j, x in zip(verts, src):
+                    row[j] = x
+                rows.append(tuple(row))
+            members.append(tuple(zip(verts, rows, part.variables)))
+        factors.append(members)
+    out = []
+    for combo in itertools.islice(itertools.product(*factors), bound):
+        rows, variables = [()] * n, [None] * n
+        for member in combo:
+            for i, row, x in member:
+                rows[i], variables[i] = row, x
+        out.append(Seed(Quiver(tuple(rows), seed.quiver.frozen), tuple(variables)))
+    return out, exceeded
+
+
+def _components(quiver: Quiver) -> list[list[int]]:
+    """Vertex lists of the connected components of the exchange matrix,
+    each sorted, ordered by their first vertex."""
+    n = quiver.size
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, verts = [start], []
+        while stack:
+            i = stack.pop()
+            verts.append(i)
+            for j, x in enumerate(quiver.matrix[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        out.append(sorted(verts))
+    return out
+
+
+def _restrict(seed: Seed, verts: Sequence[int]) -> Seed:
+    """The full subseed on ``verts`` (vertex order kept)."""
+    m = seed.quiver.matrix
+    matrix = tuple(tuple(m[i][j] for j in verts) for i in verts)
+    frozen = frozenset(a for a, v in enumerate(verts) if v in seed.quiver.frozen)
+    return Seed(Quiver(matrix, frozen), tuple(seed.variables[v] for v in verts))
+
+
+def _closure(seed: Seed, bound: int) -> tuple[list[Seed], bool]:
+    """Breadth-first closure under mutation, at most ``bound`` seeds.
+
+    Each seed keeps the canonical texts of its variables, so a child
+    computes the text of its one new variable only."""
+    texts = [v.canonical_text() for v in seed.variables]
+    seen = {_canonical_key(seed.quiver, texts): seed}
+    frontier = [(seed, texts)]
     exceeded = False
     while frontier:
         nxt = []
-        for s in frontier:
+        for s, text in frontier:
             for v in s.quiver.mutable:
                 t = s.mutate(v)
-                key = t.canonical_key()
+                child = text[:]
+                child[v] = t.variables[v].canonical_text()
+                key = _canonical_key(t.quiver, child)
                 if key not in seen:
                     if len(seen) >= bound:
                         exceeded = True
                         continue
                     seen[key] = t
-                    nxt.append(t)
+                    nxt.append((t, child))
         frontier = nxt
         if exceeded:
             break

@@ -61,8 +61,11 @@ def continuant(
     if entries:
         # from K_0 = 1 and K_1 = the last entry, so no product by 1
         prev, result = result, _as_poly(entries[-1], table, ring)
+        # in characteristic 2, -prev = prev: the sum skips the negation pass
+        plus = ring.char == 2
         for x in reversed(entries[:-1]):
-            prev, result = result, _as_poly(x, table, ring) * result - prev
+            step = _as_poly(x, table, ring) * result
+            prev, result = result, step + prev if plus else step - prev
     if key is not None:
         table.continuant_cache[key] = result
     return result

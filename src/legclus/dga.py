@@ -8,7 +8,7 @@ involves b1 and t1^-1 when k is even.
 
 The window continuants K, K_L, K_M, K_R of every block come from
 ``continuant.BlockContinuants``.  d(b1) is the product of the per-block
-seed windows (``BridgeWord.seed_window``).  The first block-boundary
+seed windows (``BridgeWord.seed_windows``).  The first block-boundary
 differential is K of block 1; each later one is a prefix of the d(b1)
 product times the block's K_R.  d(b2) is built from the two-boundary disk
 sums D_ab of ``disk_recursion`` (base case at two blocks, one step per
@@ -141,11 +141,12 @@ def build_dga(word: BridgeWord) -> DgPresentation:
 
     m = word.m
     diffs[a_name(m[0] + 1)] = blocks[0].K
-    prefix = window_continuant(table, ring, word.seed_window(0))
+    windows = word.seed_windows
+    prefix = window_continuant(table, ring, windows[0])
     for i in range(1, k - 1):
         diffs[a_name(m[i] + 1)] = prefix * blocks[i].K_R
-        prefix = prefix * window_continuant(table, ring, word.seed_window(i))
-    diffs["b1"] = prefix * window_continuant(table, ring, word.seed_window(k - 1)) + t1
+        prefix = prefix * window_continuant(table, ring, windows[i])
+    diffs["b1"] = prefix * window_continuant(table, ring, windows[k - 1]) + t1
 
     last = blocks[-1]
     if k % 2 == 1:

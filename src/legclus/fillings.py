@@ -315,7 +315,7 @@ def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunRes
         elif not image.is_zero:
             raise AlgebraError(f"equation image {image} does not vanish")
 
-    t1 = reduce(mul, (window(word.seed_window(i)) for i in range(word.k)))
+    t1 = reduce(mul, map(window, word.seed_windows))
     blocks = [BlockContinuants(word.block_chords(i), window, zero) for i in range(word.k)]
     t2 = _image_t2(blocks, t1)
     if not (t1.is_unit() and t2.is_unit()):

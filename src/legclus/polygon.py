@@ -15,10 +15,9 @@ side carries the longest window continuant.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bridge import BridgeWord
 from .cluster import Quiver, Seed
@@ -48,6 +47,21 @@ def edges_cross(a: Edge, b: Edge) -> bool:
     return (i < k < j < l) or (k < i < l < j)
 
 
+def _crossing_pair(diagonals: Iterable[Edge]) -> tuple[Edge, Edge] | None:
+    """Two diagonals that cross, or None, by one sweep over the left
+    endpoints.  Sorted by (i, -j), the open diagonals form a nested stack;
+    a new (i, j) crosses the innermost open (a, b) when a < i < b < j,
+    and if it does not cross that one it crosses no other."""
+    stack: list[Edge] = []
+    for d in sorted(diagonals, key=lambda e: (e[0], -e[1])):
+        while stack and stack[-1][1] <= d[0]:
+            stack.pop()
+        if stack and stack[-1][1] < d[1]:
+            return stack[-1], d
+        stack.append(d)
+    return None
+
+
 @dataclass(frozen=True)
 class Triangulation:
     n: int
@@ -62,9 +76,9 @@ class Triangulation:
         for d in self.diagonals:
             if not (1 <= d[0] < d[1] <= self.n) or is_side(self.n, d):
                 raise InputError(f"{d} is not a diagonal of a {self.n}-gon")
-        for a, b in itertools.combinations(self.diagonals, 2):
-            if edges_cross(a, b):
-                raise InputError(f"diagonals {a} and {b} cross")
+        crossing = _crossing_pair(self.diagonals)
+        if crossing:
+            raise InputError(f"diagonals {crossing[0]} and {crossing[1]} cross")
         if len(self.diagonals) != self.n - 3:
             raise InputError(
                 f"a triangulation of a {self.n}-gon needs {self.n - 3} diagonals"

@@ -136,7 +136,7 @@ def fibonacci(n: int) -> int:
 
 def expected_ruling_count(word: BridgeWord) -> int:
     """Domino tilings of every block's run of undetermined crossings."""
-    return prod(fibonacci(len(word.seed_window(i)) + 1) for i in range(word.k))
+    return prod(fibonacci(len(chords) + 1) for chords in word.seed_windows)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +256,7 @@ def _check_on_variety(word: BridgeWord, pt: VarietyPoint) -> None:
 def seed_prefixes(word: BridgeWord) -> list[list[int]]:
     """Per-block chord prefixes whose window continuants are the initial
     cluster variables (the last prefix entry closes the frozen variable)."""
-    return [word.seed_window(i) for i in range(word.k)]
+    return [list(chords) for chords in word.seed_windows]
 
 
 def classify_point(word: BridgeWord, pt: VarietyPoint) -> frozenset[int]:

@@ -114,6 +114,6 @@ def test_block_helpers():
 
 def test_seed_window():
     w = BridgeWord((3, 4, 2))
-    assert [w.seed_window(i) for i in range(3)] == [[1, 2], [5, 6], [9]]
-    assert BridgeWord((3,)).seed_window(0) == [1, 2, 3]
-    assert BridgeWord((1, 3)).seed_window(0) == []
+    assert w.seed_windows == ((1, 2), (5, 6), (9,))
+    assert BridgeWord((3,)).seed_windows == ((1, 2, 3),)
+    assert BridgeWord((1, 3)).seed_windows == ((), (3, 4))

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from legclus.augvar import initial_seed
+from legclus.bridge import BridgeWord, rational_form_words
 from legclus.cluster import Quiver, Seed, merge_seeds, mutation_class
-from legclus.errors import InputError
+from legclus.errors import AlgebraError, InputError
 from legclus.ring import Coefficients, LaurentPolynomial, VariableTable
 
 Z = Coefficients.integers()
@@ -46,6 +48,18 @@ def test_quiver_mutation_involution():
         q = Quiver.from_arrows(n, arrows, frozen)
         for v in q.mutable:
             assert q.mutate(v).mutate(v) == q
+
+
+def test_quiver_validation():
+    for matrix, frozen in [
+        (((0, 1), (-1, 0, 0)), ()),  # not square
+        (((0, 1), (1, 0)), ()),  # symmetric arrow
+        (((1, 0), (0, 0)), ()),  # loop
+        (((0, 1, 0), (-1, 0, 2), (0, -1, 0)), ()),  # two arrows 2 -> 3, one back
+        (((0, 1), (-1, 0)), (2,)),  # frozen vertex out of range
+    ]:
+        with pytest.raises(InputError):
+            Quiver(matrix, frozenset(frozen))
 
 
 def test_frozen_vertex_rejected():
@@ -134,9 +148,6 @@ def test_mutation_class_counts():
 
 
 def test_mutation_class_block_a3():
-    from legclus.augvar import initial_seed
-    from legclus.bridge import BridgeWord
-
     ws = initial_seed(BridgeWord((5, 2)))
     # keep only the first block's path: vertices 0..3 with frozen 3
     sub = Seed(
@@ -153,9 +164,6 @@ def test_mutation_class_bound():
 
 
 def test_laurent_phenomenon_random_walk():
-    from legclus.augvar import initial_seed
-    from legclus.bridge import BridgeWord
-
     rng = random.Random(17)
     for blocks in [(5, 4), (4, 3, 3), (6,)]:
         s = initial_seed(BridgeWord(blocks)).seed
@@ -180,10 +188,99 @@ def test_to_dot_shapes():
 
 
 def test_canonical_key_rejects_equal_mutable_variables():
-    from legclus.errors import AlgebraError
-
     t = VariableTable(["x"], invertible=("x",))
     x = LaurentPolynomial.variable(t, Z, "x")
     seed = Seed(path_quiver(3, frozen={2}), (x, x, x * x))
     with pytest.raises(AlgebraError):
         seed.canonical_key()
+
+
+def bfs_mutation_class(seed, bound=10000):
+    """Reference: one breadth-first search over the whole seed, with no
+    split into components."""
+    seen = {seed.canonical_key(): seed}
+    frontier = [seed]
+    exceeded = False
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for v in s.quiver.mutable:
+                t = s.mutate(v)
+                key = t.canonical_key()
+                if key not in seen:
+                    if len(seen) >= bound:
+                        exceeded = True
+                        continue
+                    seen[key] = t
+                    nxt.append(t)
+        frontier = nxt
+        if exceeded:
+            break
+    return list(seen.values()), exceeded
+
+
+def is_connected(quiver):
+    reached, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j, e in enumerate(quiver.matrix[i]):
+            if e and j not in reached:
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == quiver.size
+
+
+def assert_matches_bfs(seed):
+    new, new_exceeded = mutation_class(seed)
+    old, old_exceeded = bfs_mutation_class(seed)
+    assert new[0] == seed and not new_exceeded and not old_exceeded
+    new_keys = [s.canonical_key() for s in new]
+    old_keys = [s.canonical_key() for s in old]
+    assert len(set(new_keys)) == len(new_keys)
+    if seed.quiver.size and is_connected(seed.quiver):
+        assert new_keys == old_keys
+    else:
+        assert set(new_keys) == set(old_keys)
+    for bound in (1, 2, 7):
+        seeds, exceeded = mutation_class(seed, bound=bound)
+        old_seeds, old_exceeded = bfs_mutation_class(seed, bound=bound)
+        assert (len(seeds), exceeded) == (len(old_seeds), old_exceeded)
+        assert len(seeds) == min(bound, len(new)) and exceeded == (len(new) > bound)
+        assert seeds[0] == seed
+
+
+def test_mutation_class_matches_breadth_first_search():
+    # [7] (429 seeds, one component) alone would take about a second per
+    # search; [6] exercises the same one-component path
+    words = [w for w in rational_form_words(7) if w.blocks != (7,)]
+    for w in words + [BridgeWord((5, 5)), BridgeWord((6, 4))]:
+        assert_matches_bfs(initial_seed(w).seed)
+    seed = initial_seed(BridgeWord((7,))).seed
+    for bound in (1, 2, 7):
+        assert mutation_class(seed, bound) == bfs_mutation_class(seed, bound)
+
+
+def test_mutation_class_two_paths_through_one_frozen_vertex():
+    # 0 -> 1 -> [2] <- 4 <- 3: the shared frozen vertex joins both paths
+    names = ["x1", "x2", "f", "y1", "y2"]
+    t = VariableTable(names, invertible=names)
+    xs = tuple(LaurentPolynomial.variable(t, Z, n) for n in names)
+    q = Quiver.from_arrows(5, [(0, 1), (1, 2), (3, 4), (4, 2)], frozen={2})
+    assert is_connected(q)
+    assert_matches_bfs(Seed(q, xs))
+
+
+def test_mutation_class_rejects_equal_mutable_variables():
+    t = VariableTable(["x", "f", "g"], invertible=("x", "f", "g"))
+    x, f, g = (LaurentPolynomial.variable(t, Z, n) for n in ("x", "f", "g"))
+    with pytest.raises(AlgebraError):
+        mutation_class(Seed(path_quiver(3, frozen={2}), (x, x, x * x)))
+    # the tie spans two components
+    two = Quiver.from_arrows(4, [(0, 1), (2, 3)], frozen={1, 3})
+    with pytest.raises(AlgebraError):
+        mutation_class(Seed(two, (x, f, x, g)))
+
+
+def test_mutation_class_rejects_bound_below_one():
+    with pytest.raises(InputError):
+        mutation_class(xy_seed(), bound=0)

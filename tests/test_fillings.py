@@ -6,8 +6,9 @@ import pytest
 
 from legclus import fillings
 
-from legclus.augvar import retained_block_chords
+from legclus.augvar import initial_seed, retained_block_chords
 from legclus.bridge import BridgeWord, rational_form_words
+from legclus.cluster import mutation_class, strip_unit_frozen
 from legclus.errors import AlgebraError, InputError
 from legclus.fillings import (
     PinchSequence,
@@ -257,6 +258,24 @@ def test_census_matches_every_complete_sequence_up_to_m9():
             walked.setdefault(tuple(sorted(seq, key=block_of)), seq)
         reached = {sequence_to_triangulations(w, seq) for seq in walked.values()}
         assert reached == classes, w
+
+
+def test_fillings_reach_every_seed_of_the_mutation_class():
+    # single-block words are left out: initial_seed uses the full path
+    # model K_1 -> ... -> [K_n] there, while run_sequence assigns the seed
+    # of the last-block polygon model, so their keys differ by design
+    for w in rational_form_words(7):
+        if w.k == 1:
+            continue
+        census = enumerate_filling_classes(w)
+        filled = {
+            strip_unit_frozen(run_sequence(w, rep).seed).canonical_key()
+            for rep in census.representatives
+        }
+        seeds, exceeded = mutation_class(strip_unit_frozen(initial_seed(w).seed))
+        assert not exceeded
+        assert filled == {s.canonical_key() for s in seeds}, w
+        assert len(filled) == census.count, w
 
 
 @pytest.mark.parametrize("blocks", [(3, 3, 3), (4, 5), (2, 4, 3), (5,), (3, 2, 2, 3)])

@@ -12,6 +12,7 @@ from legclus.polygon import (
     BlockModel,
     Triangulation,
     block_models,
+    edges_cross,
     localization_map,
     localization_table,
     plucker_from_parameters,
@@ -52,6 +53,22 @@ def test_triangulation_validation():
         Triangulation(5, frozenset({(1, 3)}))  # wrong count
     with pytest.raises(InputError):
         Triangulation(6, frozenset({(1, 3), (2, 4), (1, 4)}))  # crossing
+
+
+def test_triangulation_rejects_exactly_the_crossing_pairs():
+    for n in range(4, 10):
+        diagonals = [
+            (i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1) if (i, j) != (1, n)
+        ]
+        for a, b in itertools.combinations(diagonals, 2):
+            # a pair is a triangulation only for n = 5; otherwise the count
+            # check rejects it too, after the crossing check
+            crossing = False
+            try:
+                Triangulation(n, frozenset({a, b}))
+            except InputError as e:
+                crossing = "cross" in str(e)
+            assert crossing == edges_cross(a, b), (n, a, b)
 
 
 def test_triangulation_counts_are_catalan():
