@@ -26,10 +26,10 @@ from functools import reduce
 from operator import mul
 from typing import Mapping, Sequence
 
-from .bridge import BridgeWord
+from .bridge import BridgeWord, a_name
 from .cluster import Quiver, Seed, merge_seeds
 from .continuant import continuant_int
-from .dga import a_name, build_dga, is_augmentation, window_continuant
+from .dga import build_dga, is_augmentation, window_continuant
 from .errors import BudgetError, InputError
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
@@ -41,35 +41,25 @@ class Style(enum.Enum):
     EQUATION = "equation"
 
 
-def avar_table(word: BridgeWord) -> VariableTable:
-    return VariableTable([a_name(j) for j in range(1, word.total + 1)])
-
-
 def defining_system(
     word: BridgeWord, style: Style = Style.INEQUALITY
-) -> list[tuple[list[int], bool]]:
-    """Per block: the retained crossing indices, whose window continuant is
-    the block's defining polynomial, and whether that polynomial is an
-    inequation (nonzero) rather than an equation.
+) -> list[tuple[tuple[int, ...], bool]]:
+    """Per block: the chords whose window continuant is the block's
+    defining polynomial, and whether that polynomial is an inequation
+    (nonzero) rather than an equation.
 
-    Every block after the first drops its free first crossing, except the
-    last block in equation style.  The polynomial is an inequation for a
-    single block and for the last block in inequality style.
+    The chords are the word's ``retained_chords``, except that the last
+    block stays whole in equation style.  The polynomial is an inequation
+    for a single block and for the last block in inequality style.
     """
     k = word.k
     out = []
-    for i in range(k):
-        chords = word.block_chords(i)
+    for i, chords in enumerate(word.retained_chords):
         last = i == k - 1
-        keep_first = i == 0 or (last and style is Style.EQUATION)
-        nonzero = k == 1 or (last and style is Style.INEQUALITY)
-        out.append((chords if keep_first else chords[1:], nonzero))
+        if last and style is Style.EQUATION:
+            chords = tuple(word.block_chords(i))
+        out.append((chords, k == 1 or (last and style is Style.INEQUALITY)))
     return out
-
-
-def retained_block_chords(word: BridgeWord, style: Style = Style.INEQUALITY) -> list[list[int]]:
-    """Per-block lists of retained crossing indices."""
-    return [chords for chords, _ in defining_system(word, style)]
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ def presentation(word: BridgeWord, style: Style = Style.INEQUALITY) -> VarietyPr
             "the equation-style presentation needs at least two blocks; "
             "a single block keeps the inequation K_n != 0"
         )
-    table = avar_table(word)
+    table = word.crossing_table
     ring = Coefficients.integers()
     system = defining_system(word, style)
     equations = []
@@ -112,7 +102,7 @@ def presentation(word: BridgeWord, style: Style = Style.INEQUALITY) -> VarietyPr
         word,
         style,
         table,
-        tuple((tuple(chords), nonzero) for chords, nonzero in system),
+        tuple(system),
         tuple(equations),
         tuple(inequations),
     )
@@ -325,7 +315,7 @@ def homotopy_reduce(word: BridgeWord, full: Mapping[str, int], p: int = 2) -> Va
         raise InputError("the assignment is not an augmentation")
     values = {
         a_name(c): full[a_name(c)] % p
-        for chords in retained_block_chords(word)
+        for chords in word.retained_chords
         for c in chords
     }
     return VarietyPoint(word, p, values, full["t1"] % p, full["t2"] % p)
@@ -373,7 +363,7 @@ def initial_seed(word: BridgeWord) -> WordSeed:
     and point count match the n-coordinate presentation.
     """
     word.require_rational_form()
-    table = avar_table(word)
+    table = word.crossing_table
     ring = Coefficients.integers()
     seeds = []
     block_mutables = []

@@ -4,6 +4,9 @@ A word [n1, ..., nk] of positive integers encodes the alternating continued
 fraction n1 - 1/(n2 - 1/(... - 1/nk)) and a plat diagram whose i-th block
 carries ni crossings.  The word is in rational form when n1 >= 1, nk >= 1
 and every interior ni >= 2.
+What depends on the word alone is a cached property of ``BridgeWord``,
+built once per word object: ``m``, ``crossing_table``, ``retained_chords``
+and ``seed_windows``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,11 @@ from typing import Iterator
 
 from .continuant import continuant_int
 from .errors import InputError
+from .ring import VariableTable
+
+
+def a_name(j: int) -> str:
+    return f"a{j}"
 
 
 @dataclass(frozen=True)
@@ -76,19 +84,23 @@ class BridgeWord:
         return list(range(start + 1, self.m[i] + 1))
 
     @cached_property
+    def crossing_table(self) -> VariableTable:
+        """The a1..am table; every caller shares its continuant cache."""
+        return VariableTable([a_name(j) for j in range(1, self.total + 1)])
+
+    @cached_property
+    def retained_chords(self) -> tuple[tuple[int, ...], ...]:
+        """Per block, the chords the augmentation variety keeps: every block
+        after the first drops its free first chord."""
+        return tuple(tuple(self.block_chords(i)[1 if i > 0 else 0 :]) for i in range(self.k))
+
+    @cached_property
     def seed_windows(self) -> tuple[tuple[int, ...], ...]:
         """Per block, the chords whose window continuant enters the seed
-        and the first closure product: the whole block of a single-block
-        word, all but the last chord of the first block, all but the first
-        and last of a middle block, all but the first of the last block
-        (computed once per word)."""
-        out = []
-        for i in range(self.k):
-            chords = self.block_chords(i)
-            start = 1 if i > 0 else 0
-            stop = len(chords) - 1 if i < self.k - 1 else len(chords)
-            out.append(tuple(chords[start:stop]))
-        return tuple(out)
+        and the first closure product: the retained chords, less the last
+        one in every block but the last (a single block stays whole)."""
+        kept = self.retained_chords
+        return tuple(chords[:-1] for chords in kept[:-1]) + kept[-1:]
 
     def block_of(self, chord: int) -> int:
         i = bisect_left(self.m, chord)

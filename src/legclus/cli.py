@@ -18,6 +18,7 @@ from . import augvar, bridge, fillings, rulings
 from .augvar import Style
 from .bridge import BridgeWord
 from .cluster import Seed, merge_seeds, mutation_class, strip_unit_frozen
+from .dga import build_dga
 from .errors import AlgebraError, BudgetError, InputError
 from .polygon import block_models
 from .ring import Coefficients
@@ -105,14 +106,11 @@ def cmd_classify(args) -> None:
 
 
 def cmd_dga(args) -> None:
-    from .dga import build_dga
-
     word = BridgeWord.parse(args.word)
     dga = build_dga(word)
-    names = [f"a{j}" for j in range(1, word.total + 1)] + ["b1", "b2"]
     lines = [f"dg-algebra of {word} over F2 (commutative image)"]
     payload = {"word": list(word.blocks), "differentials": {}}
-    for name in names:
+    for name in dga.generators:
         text = dga.differentials[name].canonical_text()
         lines.append(f"  d({name}) = {text}")
         payload["differentials"][name] = dga.differentials[name].to_json_terms()

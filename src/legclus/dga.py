@@ -22,14 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .bridge import BridgeWord
+from .bridge import BridgeWord, a_name
 from .continuant import BlockContinuants, continuant
 from .errors import InputError
 from .ring import Coefficients, LaurentPolynomial, VariableTable
-
-
-def a_name(j: int) -> str:
-    return f"a{j}"
 
 
 def dga_table(word: BridgeWord) -> VariableTable:

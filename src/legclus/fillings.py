@@ -44,10 +44,10 @@ from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .augvar import defining_system
-from .bridge import BridgeWord
+from .bridge import BridgeWord, a_name
 from .cluster import Seed, merge_seeds
 from .continuant import BlockContinuants, continuant
-from .dga import a_name, disk_recursion
+from .dga import disk_recursion
 from .errors import AlgebraError, BudgetError, InputError
 from .polygon import (
     BlockLayout,
@@ -97,6 +97,10 @@ class PinchSequence:
 
 @dataclass
 class PinchRecord:
+    """``same_component``: the crossing's strands lie on one component of
+    the plat closure of the crossings surviving just before the pinch,
+    which changes as pinches remove crossings."""
+
     chord: int
     unit: str
     same_component: bool
@@ -210,48 +214,24 @@ class PinchState:
         self.walks[b].pinch(c)
         self.records.append(PinchRecord(c, s.canonical_text(), same))
 
-    # ------------------------------------------------------------------
-    # plat-closure component tracking (reporting only)
-
-    def _position_pair(self, b: int) -> tuple[int, int]:
-        return (2, 3) if b % 2 == 0 else (1, 2)
-
     def _same_component(self, c: int) -> bool:
-        word = self.word
-        present = sorted(ch for block in self.survivors for ch in block)
-        parent = {f"{side}{i}": f"{side}{i}" for side in "LR" for i in range(1, 5)}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: str, y: str) -> None:
-            parent[find(x)] = find(y)
-
-        # strands: left boundary position -> right boundary position
-        positions = {i: i for i in range(1, 5)}  # left label -> current slot
-        entering: dict[int, tuple[str, str]] = {}
-        for ch in present:
-            pair = self._position_pair(word.block_of(ch))
-            slot_to_label = {slot: lab for lab, slot in positions.items()}
-            if ch == c:
-                entering[c] = (f"L{slot_to_label[pair[0]]}", f"L{slot_to_label[pair[1]]}")
-            a, bb = slot_to_label[pair[0]], slot_to_label[pair[1]]
-            positions[a], positions[bb] = pair[1], pair[0]
-        for lab, slot in positions.items():
-            union(f"L{lab}", f"R{slot}")
-        union("L1", "L2")
-        union("L3", "L4")
-        if word.k % 2 == 1:
-            union("R1", "R2")
-            union("R3", "R4")
-        else:
-            union("R2", "R3")
-            union("R1", "R4")
-        x, y = entering[c]
-        return find(x) == find(y)
+        """One walk over the blocks holds the left strand end in each of the
+        four slots: a crossing of an even (0-based) block swaps slots 2, 3
+        and one of an odd block slots 1, 2.  The left cusps pair the ends
+        {1, 2} and {3, 4}; c's strands share a component when a right-cusp
+        pair joins the two groups (a knot) or they lie in one group."""
+        ends = [1, 2, 3, 4]
+        block = self.word.block_of(c)
+        for b, walk in enumerate(self.walks):
+            i = 1 if b % 2 == 0 else 0
+            if b == block:
+                strands = ends[i : i + 2]
+            if len(walk.survivors) % 2:  # an even count of swaps cancels
+                ends[i], ends[i + 1] = ends[i + 1], ends[i]
+        right = ((0, 1), (2, 3)) if self.word.k % 2 else ((1, 2), (0, 3))
+        if any((ends[x] > 2) != (ends[y] > 2) for x, y in right):
+            return True
+        return (strands[0] > 2) == (strands[1] > 2)
 
     # ------------------------------------------------------------------
 
@@ -306,8 +286,7 @@ def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunRes
     window = _chart_window(eps, state.table)
 
     # the defining system must hold identically in the units
-    system = defining_system(word)
-    for chord_list, nonzero in system:
+    for chord_list, nonzero in defining_system(word):
         image = window(chord_list)
         if nonzero:
             if not image.is_unit():
@@ -323,8 +302,8 @@ def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunRes
 
     tris = state.block_triangulations()
     seed = merge_seeds([m.seed_from_triangulation(t) for m, t in zip(block_models(word), tris)])
-    retained = {a_name(c) for chord_list, _ in system for c in chord_list}
-    parametrization = {g: eps[g] for g in sorted(retained)}
+    retained = sorted(a_name(c) for chords in word.retained_chords for c in chords)
+    parametrization = {g: eps[g] for g in retained}
     return RunResult(
         word,
         chords,

@@ -211,15 +211,15 @@ class BlockLayout:
     """Where one block of a rational-form word sits on its polygon, and how
     it pinches.
 
-    The first block of a multi-block word labels polygon vertices 1.. with
-    all its crossings; every other block (and a single block) keeps its
-    first crossing off the polygon and never pinches it (``first_fixed``).
-    A block is done when ``keep`` crossings survive: one in the outer blocks
-    and a single block, two in the middle ones.  A single block thus follows
-    the last-block rule (its first crossing survives and sweeps the terminal
-    circle), which keeps its class census at the Catalan number C_{n-1}.
-    Polygon sizes: n+1 for the outer blocks and a single block, n for middle
-    blocks.
+    A block labels polygon vertices 1.. with its ``retained_chords``, so a
+    block after the first keeps its first crossing off the polygon and
+    never pinches it (``first_fixed``).  A single block is the one
+    exception: it labels ``chords[1:]`` by the last-block rule (its first
+    crossing survives and sweeps the terminal circle), which keeps its
+    class census at C_{n-1}.  A block is done when ``keep`` crossings
+    survive: one in the outer blocks and a single block, two in the middle
+    ones.  Polygon sizes: n+1 for the outer blocks and a single block, n
+    for middle blocks.
     """
 
     chords: tuple[int, ...]
@@ -233,7 +233,7 @@ class BlockLayout:
         chords = tuple(word.block_chords(block))
         outer = block in (0, word.k - 1)
         first_fixed = word.k == 1 or block > 0
-        labeled = chords[1:] if first_fixed else chords
+        labeled = chords[1:] if word.k == 1 else word.retained_chords[block]
         return cls(
             chords,
             len(chords) + 1 if outer else len(chords),
@@ -274,10 +274,10 @@ class BlockModel:
 
     Size, vertex labels, frozen side (N-1, N) and edge windows come from
     the block's ``BlockLayout``; vertices 1.. carry the block's crossing
-    variables.
+    variables, from the word's ``crossing_table``.
     """
 
-    def __init__(self, word: BridgeWord, block: int, table: VariableTable | None = None) -> None:
+    def __init__(self, word: BridgeWord, block: int) -> None:
         word.require_rational_form()
         if not 0 <= block < word.k:
             raise InputError(f"block {block} out of range")
@@ -285,9 +285,7 @@ class BlockModel:
         self.block = block
         self.layout = BlockLayout.of(word, block)
         self.size = self.layout.size
-        if table is None:
-            table = VariableTable([f"a{c}" for c in range(1, word.total + 1)])
-        self.table = table
+        self.table = word.crossing_table
         self.ring = Coefficients.integers()
 
     @property
@@ -308,10 +306,8 @@ class BlockModel:
         return self.seed_from_triangulation(Triangulation.fan(self.size, self.size))
 
 
-def block_models(word: BridgeWord, table: VariableTable | None = None) -> list[BlockModel]:
-    if table is None:
-        table = VariableTable([f"a{c}" for c in range(1, word.total + 1)])
-    return [BlockModel(word, b, table) for b in range(word.k)]
+def block_models(word: BridgeWord) -> list[BlockModel]:
+    return [BlockModel(word, b) for b in range(word.k)]
 
 
 # ----------------------------------------------------------------------

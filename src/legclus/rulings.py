@@ -29,12 +29,10 @@ from .augvar import (
     forced_t1,
     forced_t2,
     point_count_closed_form,
-    retained_block_chords,
     window_value,
 )
-from .bridge import BridgeWord
+from .bridge import BridgeWord, a_name
 from .continuant import continuant_prefixes
-from .dga import a_name
 from .errors import AlgebraError, InputError
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
@@ -46,7 +44,7 @@ RETURN = "R"
 def undetermined_crossings(word: BridgeWord) -> list[list[int]]:
     """Per-block crossing indices whose ruling type is free."""
     word.require_rational_form()
-    return seed_prefixes(word)
+    return [list(chords) for chords in word.seed_windows]
 
 
 def forced_types(word: BridgeWord) -> dict[int, str]:
@@ -212,8 +210,7 @@ def parametrize_stratum(
     field = Coefficients.prime_field(p)
     full = ruling.full_types()
     values: dict[str, int] = {}
-    blocks = retained_block_chords(word)
-    for chords in blocks:
+    for chords in word.retained_chords:
         prev_type: str | None = None
         prev_unit: int | None = None
         for c in chords:
@@ -253,19 +250,13 @@ def _check_on_variety(word: BridgeWord, pt: VarietyPoint) -> None:
             raise AlgebraError("parametrized point violates an equation")
 
 
-def seed_prefixes(word: BridgeWord) -> list[list[int]]:
-    """Per-block chord prefixes whose window continuants are the initial
-    cluster variables (the last prefix entry closes the frozen variable)."""
-    return [list(chords) for chords in word.seed_windows]
-
-
 def classify_point(word: BridgeWord, pt: VarietyPoint) -> frozenset[int]:
     """Mutable ordinals whose initial cluster variable vanishes at the
     point; guaranteed (and checked) to be an anticlique."""
     p = pt.p
     vanishing = set()
     ordinal = 0
-    for prefix in seed_prefixes(word):
+    for prefix in word.seed_windows:
         prev_vanished = False
         xs = (pt.values.get(a_name(c), 0) for c in prefix[:-1])  # the full window is frozen
         for cur in continuant_prefixes(xs, p):

@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 
-from legclus import augvar, bridge, fillings, rulings
+from legclus import bridge, fillings
 from legclus.augvar import (
     closed_form_value,
     count_points,
@@ -110,11 +110,17 @@ def test_criterion_03_point_counts():
               "pointwise on the enumerable sweep)")
 
 
+def _fresh_table(word):
+    """A crossing-variable table of the oracle's own, so that it reads no
+    continuant the code under test cached on ``word.crossing_table``."""
+    return VariableTable([f"a{c}" for c in range(1, word.total + 1)])
+
+
 def _expected_thm_seed(word):
     """The prescribed per-block path seeds, built directly."""
-    table = augvar.avar_table(word)
+    table = _fresh_table(word)
     seeds = []
-    for prefix in rulings.seed_prefixes(word):
+    for prefix in word.seed_windows:
         length = len(prefix)
         variables = tuple(
             continuant(
@@ -141,7 +147,7 @@ def test_criterion_04_initial_seed():
         if w.k == 1:
             # single blocks use the last-block model: paths in a2..an
             chords = w.block_chords(0)[1:]
-            table = augvar.avar_table(w)
+            table = _fresh_table(w)
             expected_vars = tuple(
                 continuant(
                     [LaurentPolynomial.variable(table, Z, f"a{c}") for c in chords[: j + 1]],
@@ -161,6 +167,22 @@ def test_criterion_04_initial_seed():
         count += 1
     report(4, f"fan triangulations reproduce the prescribed seeds for {count} words (m <= 12), "
               "all really full-rank")
+
+
+def test_word_structure_is_built_once():
+    # presentations, seeds and polygon models share the word's table, so a
+    # second run on the same word object computes no new continuant
+    w = BridgeWord((4, 3, 3))
+    table = w.crossing_table
+    assert presentation(w).table is table
+    assert all(v.table is table for v in initial_seed(w).seed.variables)
+    assert all(m.table is table for m in block_models(w))
+    seq = next(enumerate_complete_sequences(w))
+    run_sequence(w, seq)
+    cached = set(table.continuant_cache)
+    assert cached
+    run_sequence(w, seq)
+    assert set(table.continuant_cache) == cached
 
 
 def test_criterion_05_flip_mutation_compatibility():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from legclus.augvar import Style, defining_system
 from legclus.bridge import (
     BridgeWord,
     Fraction,
@@ -14,6 +15,7 @@ from legclus.bridge import (
 )
 from legclus.continuant import continuant_int
 from legclus.errors import InputError
+from legclus.polygon import BlockLayout
 
 
 def test_parse_and_format():
@@ -117,3 +119,44 @@ def test_seed_window():
     assert w.seed_windows == ((1, 2), (5, 6), (9,))
     assert BridgeWord((3,)).seed_windows == ((1, 2, 3),)
     assert BridgeWord((1, 3)).seed_windows == ((), (3, 4))
+
+
+def _sliced_seed_windows(w):
+    """Reference: the seed windows sliced block by block (first [:-1],
+    middle [1:-1], last [1:], a single block whole)."""
+    out = []
+    for i in range(w.k):
+        chords = w.block_chords(i)
+        start = 1 if i > 0 else 0
+        stop = len(chords) - 1 if i < w.k - 1 else len(chords)
+        out.append(tuple(chords[start:stop]))
+    return tuple(out)
+
+
+def _sliced_defining_system(w, style):
+    """Reference: every block after the first drops its first chord, except
+    the last block in equation style."""
+    out = []
+    for i in range(w.k):
+        chords = w.block_chords(i)
+        last = i == w.k - 1
+        keep_first = i == 0 or (last and style is Style.EQUATION)
+        nonzero = w.k == 1 or (last and style is Style.INEQUALITY)
+        out.append((chords if keep_first else chords[1:], nonzero))
+    return out
+
+
+def test_window_rules_live_on_the_word():
+    for w in rational_form_words(10):
+        assert w.seed_windows == _sliced_seed_windows(w)
+        for style in Style:
+            system = [(list(chords), nonzero) for chords, nonzero in defining_system(w, style)]
+            assert system == _sliced_defining_system(w, style)
+        layouts = [BlockLayout.of(w, b) for b in range(w.k)]
+        if w.k == 1:
+            assert tuple(layouts[0].vertex_of) == tuple(w.block_chords(0)[1:])
+            assert w.seed_windows == w.retained_chords == (tuple(w.block_chords(0)),)
+            continue
+        for b, layout in enumerate(layouts):
+            assert tuple(layout.vertex_of) == w.retained_chords[b]
+            assert layout.edge_window(layout.frozen_side) == w.seed_windows[b]

@@ -6,8 +6,8 @@ import pytest
 
 from legclus import fillings
 
-from legclus.augvar import initial_seed, retained_block_chords
-from legclus.bridge import BridgeWord, rational_form_words
+from legclus.augvar import initial_seed
+from legclus.bridge import BridgeWord, fraction_value, rational_form_words
 from legclus.cluster import mutation_class, strip_unit_frozen
 from legclus.errors import AlgebraError, InputError
 from legclus.fillings import (
@@ -324,11 +324,68 @@ def test_same_component_labels_torus_links():
     assert st.records[0].same_component is True
 
 
+def _union_find_same_component(state, c):
+    """Reference: a union-find over the left and right strand ends of the
+    plat closure of the state's surviving crossings."""
+    word = state.word
+    present = sorted(ch for block in state.survivors for ch in block)
+    parent = {f"{side}{i}": f"{side}{i}" for side in "LR" for i in range(1, 5)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    positions = {i: i for i in range(1, 5)}  # left label -> current slot
+    entering = {}
+    for ch in present:
+        pair = (2, 3) if word.block_of(ch) % 2 == 0 else (1, 2)
+        slot_to_label = {slot: lab for lab, slot in positions.items()}
+        if ch == c:
+            entering[c] = (f"L{slot_to_label[pair[0]]}", f"L{slot_to_label[pair[1]]}")
+        a, b = slot_to_label[pair[0]], slot_to_label[pair[1]]
+        positions[a], positions[b] = pair[1], pair[0]
+    for lab, slot in positions.items():
+        union(f"L{lab}", f"R{slot}")
+    union("L1", "L2")
+    union("L3", "L4")
+    if word.k % 2 == 1:
+        union("R1", "R2")
+        union("R3", "R4")
+    else:
+        union("R2", "R3")
+        union("R1", "R4")
+    x, y = entering[c]
+    return find(x) == find(y)
+
+
+def test_same_component_matches_union_find_on_every_pinch():
+    pinches = 0
+    for w in rational_form_words(6):
+        for seq in enumerate_complete_sequences(w):
+            st = PinchState(w)
+            for c in seq:
+                expected = _union_find_same_component(st, c)
+                st.apply_pinch(c)
+                assert st.records[-1].same_component is expected, (w, seq, c)
+                pinches += 1
+    assert pinches == 2431
+    # on a knot every first pinch merges arcs of one component ([1] has none)
+    for w in rational_form_words(12, min_total=2):
+        if fraction_value(w).p % 2:
+            st = PinchState(w)
+            st.apply_pinch(st.pinchable_chords()[0])
+            assert st.records[0].same_component is True, w
+
+
 def test_parametrization_solves_variety_identically():
     for w in [BridgeWord((3, 3)), BridgeWord((5, 4))]:
         seq = enumerate_filling_classes(w).representatives[0]
         res = run_sequence(w, seq)
-        blocks = retained_block_chords(w)
         # equations vanish identically: re-checked inside run_sequence;
         # here confirm the number of units matches the chart dimension
         used = set()
