@@ -5,8 +5,9 @@ fraction n1 - 1/(n2 - 1/(... - 1/nk)) and a plat diagram whose i-th block
 carries ni crossings.  The word is in rational form when n1 >= 1, nk >= 1
 and every interior ni >= 2.
 What depends on the word alone is a cached property of ``BridgeWord``,
-built once per word object: ``m``, ``crossing_table``, ``retained_chords``
-and ``seed_windows``.
+built once per word object: ``m``, ``crossing_table``, ``retained_chords``,
+``seed_windows`` and, for a rational-form word, the per-block polygon
+``layouts`` that every pinch walk and block seed reads.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .continuant import continuant_int
 from .errors import InputError
 from .ring import VariableTable
+
+if TYPE_CHECKING:
+    from .polygon import BlockLayout
 
 
 def a_name(j: int) -> str:
@@ -101,6 +105,15 @@ class BridgeWord:
         one in every block but the last (a single block stays whole)."""
         kept = self.retained_chords
         return tuple(chords[:-1] for chords in kept[:-1]) + kept[-1:]
+
+    @cached_property
+    def layouts(self) -> tuple[BlockLayout, ...]:
+        """Per block, its ``polygon.BlockLayout``; a word not in rational
+        form has none and raises."""
+        from .polygon import BlockLayout  # polygon imports this module
+
+        self.require_rational_form()
+        return tuple(BlockLayout.of(self, b) for b in range(self.k))
 
     def block_of(self, chord: int) -> int:
         i = bisect_left(self.m, chord)

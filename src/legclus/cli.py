@@ -20,7 +20,7 @@ from .bridge import BridgeWord
 from .cluster import Seed, merge_seeds, mutation_class, strip_unit_frozen
 from .dga import build_dga
 from .errors import AlgebraError, BudgetError, InputError
-from .polygon import block_models
+from .polygon import Triangulation, block_seed
 from .ring import Coefficients
 
 SCHEMA = "legclus/1"
@@ -333,7 +333,10 @@ def cmd_verify(args) -> None:
 
     ws = augvar.initial_seed(word)
     checks.append(("really full rank", ws.seed.quiver.is_really_full_rank()))
-    fan = [m.fan_seed() for m in block_models(word)]
+    fan = [
+        block_seed(word, layout, Triangulation.fan(layout.size, layout.size))
+        for layout in word.layouts
+    ]
     merged = strip_unit_frozen(merge_seeds(fan))
     if word.k > 1:
         checks.append(

@@ -78,27 +78,6 @@ def disk_recursion(blocks: Sequence[BlockContinuants]) -> tuple[Any, Any, Any, A
 
 
 @dataclass(frozen=True)
-class DiskTable:
-    word: BridgeWord
-    i: int
-    D13: LaurentPolynomial
-    D14: LaurentPolynomial
-    D23: LaurentPolynomial
-    D24: LaurentPolynomial
-    D34: LaurentPolynomial
-
-
-def disk_table(word: BridgeWord, i: int, table: VariableTable, ring: Coefficients) -> DiskTable:
-    """Two-boundary disk polynomials for blocks 1 through i (i even)."""
-    if word.k < 2:
-        raise InputError("disk tables need at least two blocks")
-    if i % 2 != 0 or not 2 <= i <= word.k:
-        raise InputError(f"block index {i} must be even and within the word")
-    blocks = [block_continuants(word, j, table, ring) for j in range(1, i + 1)]
-    return DiskTable(word, i, *disk_recursion(blocks))
-
-
-@dataclass(frozen=True)
 class DgPresentation:
     word: BridgeWord
     table: VariableTable

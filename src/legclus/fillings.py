@@ -21,13 +21,18 @@ window: t1 multiplies those of the seed windows, t2 runs the same
 ``dga.disk_recursion`` as d(b2), and the seed check reads the edge windows
 (``BlockLayout.edge_window``) of each block's diagonals and frozen side.
 
-Every public call builds the word's ``BlockLayout`` tuple once (chords,
-polygon size, crossing -> vertex map, candidate rule per block).  One
-walker, ``BlockWalk.pinch``, drops the pinched vertex from the block's
-ring of active polygon vertices and emits the neighbor diagonal unless it
-is a side; ``PinchState`` (with the substitution algebra on top),
-``sequence_to_triangulations`` and ``representative_sequence`` all step
-through it.  The filling census runs the per-block greedy of
+The word owns its block plan: ``BridgeWord.layouts`` holds one
+``BlockLayout`` per block (chords, polygon size, crossing -> vertex map,
+candidate rule), built once per word object.  One walker,
+``BlockWalk.pinch``, rejects a crossing that is not pinchable now, drops
+the pinched vertex from the block's ring of active polygon vertices and
+emits the neighbor diagonal unless it is a side.  Everything that follows
+a sequence steps through it: ``PinchState`` (with the substitution algebra
+on top), ``sequence_to_triangulations``, the commutation moves of
+``_neighbor_sequences`` and the representatives.  The emitted
+triangulations give the seed by ``polygon.block_seed``.  The filling
+census checks its Catalan-product size against the budget before it
+builds a triangulation, runs the per-block greedy of
 ``representative_sequence`` once per triangulation of each block, joins
 the per-block orders in ``itertools.product`` order, and walks every
 joined representative once more: a representative whose emitted
@@ -37,6 +42,7 @@ diagonals differ from its target raises ``AlgebraError``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
@@ -49,15 +55,7 @@ from .cluster import Seed, merge_seeds
 from .continuant import BlockContinuants, continuant
 from .dga import disk_recursion
 from .errors import AlgebraError, BudgetError, InputError
-from .polygon import (
-    BlockLayout,
-    Edge,
-    Triangulation,
-    block_layouts,
-    block_models,
-    is_side,
-    triangulations,
-)
+from .polygon import BlockLayout, Edge, Triangulation, block_seed, is_side, triangulations
 from .ring import Coefficients, LaurentPolynomial, VariableTable
 
 F2 = Coefficients.prime_field(2)
@@ -129,13 +127,20 @@ class BlockWalk:
         edge = (left, right) if left < right else (right, left)
         return None if is_side(self.layout.size, edge) else edge
 
-    def pinch(self, c: int) -> None:
-        """Drop c and its polygon vertex; emit the neighbor diagonal."""
+    def pinch(self, c: int) -> int:
+        """Drop c and its polygon vertex and emit the neighbor diagonal;
+        returns c's position among the survivors it leaves.  This is the
+        one admissibility check of a followed sequence: c must be a
+        candidate now."""
+        if c not in self.candidates():
+            raise InputError(f"crossing {c} is not pinchable now")
         edge = self.diagonal(c)
         if edge is not None:
             self.emitted.add(edge)
         self.active.remove(self.layout.vertex_of[c])
-        self.survivors.remove(c)
+        pos = self.survivors.index(c)
+        del self.survivors[pos]
+        return pos
 
     def triangulation(self) -> Triangulation:
         return Triangulation(self.layout.size, frozenset(self.emitted))
@@ -147,16 +152,18 @@ def _candidates(walks: Sequence[BlockWalk]) -> list[int]:
     return [c for walk in walks for c in walk.candidates()]
 
 
-def _walk(
-    word: BridgeWord, layouts: Sequence[BlockLayout], chords: Sequence[int]
-) -> list[BlockWalk]:
+def _walk_block(word: BridgeWord, c: int) -> int:
+    """The block whose walk pinches c.  A crossing past the last block goes
+    to the last one, whose ``BlockWalk.pinch`` rejects it like any other
+    crossing that is not pinchable now."""
+    return bisect_left(word.m, c, hi=word.k - 1)
+
+
+def _walk(word: BridgeWord, chords: Sequence[int]) -> list[BlockWalk]:
     """Walk a complete admissible sequence through fresh block walks."""
-    walks = [BlockWalk(layout) for layout in layouts]
-    for step, c in enumerate(chords):
-        walk = walks[word.block_of(c)]
-        if c not in walk.candidates():
-            raise InputError(f"step {step + 1}: crossing {c} is not pinchable")
-        walk.pinch(c)
+    walks = [BlockWalk(layout) for layout in word.layouts]
+    for c in chords:
+        walks[_walk_block(word, c)].pinch(c)
     if _candidates(walks):
         raise InputError("sequence is not complete")
     return walks
@@ -171,7 +178,7 @@ class PinchState:
 
     def __init__(self, word: BridgeWord) -> None:
         self.word = word
-        self.walks = [BlockWalk(layout) for layout in block_layouts(word)]
+        self.walks = [BlockWalk(layout) for layout in word.layouts]
         self.table = run_table(word)
         one = LaurentPolynomial.constant(self.table, F2, 1)
         self.gaps: list[list[LaurentPolynomial]] = [
@@ -197,31 +204,28 @@ class PinchState:
         return not self.pinchable_chords()
 
     def apply_pinch(self, c: int) -> None:
-        if c not in self.pinchable_chords():
-            raise InputError(f"crossing {c} is not pinchable now")
-        b = self.word.block_of(c)
+        b = _walk_block(self.word, c)
+        same = self._same_component(b)
         block = self.walks[b].survivors
-        pos = block.index(c)
+        pos = self.walks[b].pinch(c)
         u, v = self.gaps[b][pos : pos + 2]
-        same = self._same_component(c)
         s = LaurentPolynomial.variable(self.table, F2, f"s{len(self.records) + 1}")
         self.images[a_name(c)] = self.images[a_name(c)].substitute({a_name(c): s})
         if pos > 0:
             self.images[a_name(block[pos - 1])] += (u * u * s).invert_unit()
-        if pos < len(block) - 1:
-            self.images[a_name(block[pos + 1])] += (v * v * s).invert_unit()
+        if pos < len(block):
+            self.images[a_name(block[pos])] += (v * v * s).invert_unit()
         self.gaps[b][pos : pos + 2] = [u * s * v]
-        self.walks[b].pinch(c)
         self.records.append(PinchRecord(c, s.canonical_text(), same))
 
-    def _same_component(self, c: int) -> bool:
+    def _same_component(self, block: int) -> bool:
         """One walk over the blocks holds the left strand end in each of the
         four slots: a crossing of an even (0-based) block swaps slots 2, 3
         and one of an odd block slots 1, 2.  The left cusps pair the ends
-        {1, 2} and {3, 4}; c's strands share a component when a right-cusp
-        pair joins the two groups (a knot) or they lie in one group."""
+        {1, 2} and {3, 4}; the strands of a crossing of ``block`` share a
+        component when a right-cusp pair joins the two groups (a knot) or
+        they lie in one group."""
         ends = [1, 2, 3, 4]
-        block = self.word.block_of(c)
         for b, walk in enumerate(self.walks):
             i = 1 if b % 2 == 0 else 0
             if b == block:
@@ -245,7 +249,7 @@ def sequence_to_triangulations(
     """Per-block triangulations read off a complete admissible sequence,
     without the substitution algebra."""
     chords = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
-    walks = _walk(word, block_layouts(word), chords)
+    walks = _walk(word, chords)
     return tuple(walk.triangulation() for walk in walks)
 
 
@@ -301,7 +305,7 @@ def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunRes
         raise AlgebraError("forced base-point images are not units")
 
     tris = state.block_triangulations()
-    seed = merge_seeds([m.seed_from_triangulation(t) for m, t in zip(block_models(word), tris)])
+    seed = merge_seeds([block_seed(word, layout, t) for layout, t in zip(word.layouts, tris)])
     retained = sorted(a_name(c) for chords in word.retained_chords for c in chords)
     parametrization = {g: eps[g] for g in retained}
     return RunResult(
@@ -338,7 +342,7 @@ def is_torus_chart(res: RunResult) -> bool:
     window = _chart_window(res.images, res.t1.table)
     return all(
         window(layout.edge_window(e)).is_unit()
-        for layout, t in zip(block_layouts(res.word), res.triangulations)
+        for layout, t in zip(res.word.layouts, res.triangulations)
         for e in (*t.diagonals, layout.frozen_side)
     )
 
@@ -370,7 +374,7 @@ def _image_t2(blocks: Sequence[BlockContinuants], t1: LaurentPolynomial) -> Laur
 def enumerate_complete_sequences(word: BridgeWord) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration of all complete admissible sequences (over
     all interleavings of the blocks)."""
-    layouts = block_layouts(word)
+    layouts = word.layouts
 
     def rec(survivors: list[list[int]], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         complete = True
@@ -386,50 +390,34 @@ def enumerate_complete_sequences(word: BridgeWord) -> Iterator[tuple[int, ...]]:
     yield from rec([list(layout.chords) for layout in layouts], ())
 
 
-def _neighbor_sequences(
-    word: BridgeWord,
-    seq: tuple[int, ...],
-    layouts: Sequence[BlockLayout] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Sequences one commutation move away: adjacent transpositions of
-    pinches that are not linked-list neighbors at the earlier moment, and
-    the swap of a block's final pinch for the other available candidate."""
-    if layouts is None:
-        layouts = block_layouts(word)
-    # transpositions
-    for r in range(len(seq) - 1):
-        c, d = seq[r], seq[r + 1]
-        bc, bd = word.block_of(c), word.block_of(d)
-        if bc != bd:
-            yield seq[:r] + (d, c) + seq[r + 2 :]
-            continue
-        done = set(seq[:r])
-        block = [x for x in layouts[bc].chords if x not in done]
-        i, j = block.index(c), block.index(d)
-        if abs(i - j) >= 2:
-            yield seq[:r] + (d, c) + seq[r + 2 :]
-    # final-pinch swaps: the last pinch of a block may pick the other
-    # available candidate (it emits a side or an already-present diagonal
-    # either way, so the triangulation tuple is unchanged)
-    last_of_block: dict[int, int] = {}
+def _neighbor_sequences(word: BridgeWord, seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Sequences one commutation move away, read off one walk of ``seq``:
+    adjacent transpositions of pinches that are not linked-list neighbors
+    at the earlier moment, then, for the blocks in order of first
+    occurrence, the swap of a block's final pinch for another candidate
+    of that moment.  The final pinch emits a side or an already-present
+    diagonal whichever candidate it takes, and every later pinch lies in
+    another block, so a swap stays complete and admissible and keeps the
+    triangulation tuple."""
+    walks = [BlockWalk(layout) for layout in word.layouts]
+    finals: dict[int, tuple[int, list[int]]] = {}
     for r, c in enumerate(seq):
-        last_of_block[word.block_of(c)] = r
-    for b, r in last_of_block.items():
-        done = set(seq[:r])
-        layout = layouts[b]
-        for c in layout.candidates([x for x in layout.chords if x not in done]):
+        b = word.block_of(c)
+        walk = walks[b]
+        if r + 1 < len(seq):
+            d = seq[r + 1]
+            block = walk.survivors
+            if word.block_of(d) != b or abs(block.index(c) - block.index(d)) >= 2:
+                yield seq[:r] + (d, c) + seq[r + 2 :]
+        finals[b] = (r, walk.candidates())
+        walk.pinch(c)
+    for r, candidates in finals.values():
+        for c in candidates:
             if c != seq[r]:
-                candidate = seq[:r] + (c,) + seq[r + 1 :]
-                try:
-                    _walk(word, layouts, candidate)
-                except InputError:
-                    continue
-                yield candidate
+                yield seq[:r] + (c,) + seq[r + 1 :]
 
 
-def _orbit(
-    word: BridgeWord, start: tuple[int, ...], layouts: Sequence[BlockLayout], cap: int
-) -> Iterator[tuple[int, ...]]:
+def _orbit(word: BridgeWord, start: tuple[int, ...], cap: int) -> Iterator[tuple[int, ...]]:
     """The commutation orbit of ``start``, breadth first: each sequence is
     yielded when first reached (``start`` first), before the cap check."""
     seen = {start}
@@ -438,7 +426,7 @@ def _orbit(
     while frontier:
         nxt = []
         for s in frontier:
-            for t in _neighbor_sequences(word, s, layouts):
+            for t in _neighbor_sequences(word, s):
                 if t not in seen:
                     yield t
                     if len(seen) >= cap:
@@ -457,10 +445,9 @@ def commutation_equivalent(
     """Reachability under commutation moves, computed by orbit search."""
     a = s1.chords if isinstance(s1, PinchSequence) else tuple(s1)
     b = s2.chords if isinstance(s2, PinchSequence) else tuple(s2)
-    layouts = block_layouts(word)
-    _walk(word, layouts, a)
-    _walk(word, layouts, b)
-    return any(t == b for t in _orbit(word, a, layouts, cap))
+    _walk(word, a)
+    _walk(word, b)
+    return any(t == b for t in _orbit(word, a, cap))
 
 
 def canonical_sequence(
@@ -468,9 +455,8 @@ def canonical_sequence(
 ) -> tuple[int, ...]:
     """Lexicographically least sequence in the commutation orbit."""
     a = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
-    layouts = block_layouts(word)
-    _walk(word, layouts, a)
-    return min(_orbit(word, a, layouts, cap))
+    _walk(word, a)
+    return min(_orbit(word, a, cap))
 
 
 # ----------------------------------------------------------------------
@@ -496,15 +482,12 @@ def _block_greedy(layout: BlockLayout, target: Triangulation) -> tuple[int, ...]
 
 
 def _checked_representative(
-    word: BridgeWord,
-    layouts: Sequence[BlockLayout],
-    target: Sequence[Triangulation],
-    seq: tuple[int, ...],
+    word: BridgeWord, target: Sequence[Triangulation], seq: tuple[int, ...]
 ) -> tuple[int, ...]:
     """The sequence itself, once the walker has confirmed that it is
     complete, admissible and emits exactly the target's diagonals."""
     try:
-        walks = _walk(word, layouts, seq)
+        walks = _walk(word, seq)
     except InputError as exc:
         raise AlgebraError(f"representative sequence {seq} is not admissible: {exc}") from None
     if any(walk.emitted != t.diagonals for walk, t in zip(walks, target)):
@@ -517,13 +500,13 @@ def representative_sequence(
 ) -> tuple[int, ...]:
     """A complete admissible sequence whose emitted diagonals reproduce the
     given per-block triangulations (blocks pinched left to right)."""
-    layouts = block_layouts(word)
+    layouts = word.layouts
     if len(target) != len(layouts):
         raise InputError(f"{word} needs {len(layouts)} triangulations, got {len(target)}")
     if any(t.n != layout.size for layout, t in zip(layouts, target)):
         raise InputError("triangulation size mismatch")
     seq = tuple(c for layout, t in zip(layouts, target) for c in _block_greedy(layout, t))
-    return _checked_representative(word, layouts, target, seq)
+    return _checked_representative(word, target, seq)
 
 
 @dataclass(frozen=True)
@@ -552,11 +535,12 @@ def expected_filling_count(word: BridgeWord) -> int:
 def enumerate_filling_classes(word: BridgeWord, budget: int = 100000) -> FillingCensus:
     """Distinct per-block triangulation tuples over all admissible complete
     sequences, each with one representative sequence."""
-    layouts = block_layouts(word)
-    per_block = [triangulations(layout.size) for layout in layouts]
-    total = prod(len(tris) for tris in per_block)
+    layouts = word.layouts
+    # C_{N-2} triangulations per N-gon, counted before any is built
+    total = prod(catalan(layout.size - 2) for layout in layouts)
     if total > budget:
         raise BudgetError(f"{total} filling classes exceed the budget {budget}")
+    per_block = [triangulations(layout.size) for layout in layouts]
     # the greedy pinch order of each block's triangulations, computed once
     choices = [
         [(t, _block_greedy(layout, t)) for t in tris]
@@ -566,5 +550,6 @@ def enumerate_filling_classes(word: BridgeWord, budget: int = 100000) -> Filling
     for combo in itertools.product(*choices):
         target = [t for t, _ in combo]
         seq = tuple(itertools.chain.from_iterable(head for _, head in combo))
-        reps.append(_checked_representative(word, layouts, target, seq))
-    return FillingCensus(word, total, tuple(len(tris) for tris in per_block), tuple(reps))
+        reps.append(_checked_representative(word, target, seq))
+    counts = tuple(len(tris) for tris in per_block)
+    return FillingCensus(word, prod(counts), counts, tuple(reps))

@@ -206,6 +206,12 @@ def quiver_from_triangulation(
     return Quiver.from_arrows(len(labels), arrows, frozen), labels
 
 
+# ----------------------------------------------------------------------
+# block polygons: a word's ``BridgeWord.layouts`` holds one ``BlockLayout``
+# per block, built once per word object; pinch walks follow its candidate
+# rule and ``block_seed`` reads its edge windows
+
+
 @dataclass(frozen=True)
 class BlockLayout:
     """Where one block of a rational-form word sits on its polygon, and how
@@ -264,50 +270,16 @@ class BlockLayout:
         return labels[i : j - 1] if j < n else labels[: i - 1]
 
 
-def block_layouts(word: BridgeWord) -> tuple[BlockLayout, ...]:
-    word.require_rational_form()
-    return tuple(BlockLayout.of(word, b) for b in range(word.k))
-
-
-class BlockModel:
-    """Polygon model of one block of a rational-form word.
-
-    Size, vertex labels, frozen side (N-1, N) and edge windows come from
-    the block's ``BlockLayout``; vertices 1.. carry the block's crossing
-    variables, from the word's ``crossing_table``.
-    """
-
-    def __init__(self, word: BridgeWord, block: int) -> None:
-        word.require_rational_form()
-        if not 0 <= block < word.k:
-            raise InputError(f"block {block} out of range")
-        self.word = word
-        self.block = block
-        self.layout = BlockLayout.of(word, block)
-        self.size = self.layout.size
-        self.table = word.crossing_table
-        self.ring = Coefficients.integers()
-
-    @property
-    def frozen_side(self) -> Edge:
-        return self.layout.frozen_side
-
-    def diagonal_to_continuant(self, e: Edge) -> LaurentPolynomial:
-        return window_continuant(self.table, self.ring, self.layout.edge_window(e))
-
-    def seed_from_triangulation(self, t: Triangulation) -> Seed:
-        if t.n != self.size:
-            raise InputError(f"triangulation size {t.n} does not match polygon size {self.size}")
-        quiver, labels = quiver_from_triangulation(t, [self.frozen_side])
-        variables = tuple(self.diagonal_to_continuant(e) for e in labels)
-        return Seed(quiver, variables)
-
-    def fan_seed(self) -> Seed:
-        return self.seed_from_triangulation(Triangulation.fan(self.size, self.size))
-
-
-def block_models(word: BridgeWord) -> list[BlockModel]:
-    return [BlockModel(word, b) for b in range(word.k)]
+def block_seed(word: BridgeWord, layout: BlockLayout, t: Triangulation) -> Seed:
+    """The seed of a triangulation of the block polygon ``layout``: one
+    mutable vertex per diagonal and the frozen side (N-1, N), each carrying
+    the continuant of its ``edge_window`` in the word's crossing table.
+    The fan at vertex N gives the block's initial seed."""
+    if t.n != layout.size:
+        raise InputError(f"triangulation size {t.n} does not match polygon size {layout.size}")
+    quiver, labels = quiver_from_triangulation(t, [layout.frozen_side])
+    table, ring = word.crossing_table, Coefficients.integers()
+    return Seed(quiver, tuple(window_continuant(table, ring, layout.edge_window(e)) for e in labels))
 
 
 # ----------------------------------------------------------------------

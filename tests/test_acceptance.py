@@ -21,7 +21,7 @@ from legclus.augvar import (
 from legclus.bridge import BridgeWord, Fraction, Move, rational_form_words
 from legclus.cluster import merge_seeds, strip_unit_frozen
 from legclus.continuant import check_determinant_identity, continuant
-from legclus.dga import first_boundary_variants
+from legclus.dga import first_boundary_variants, window_continuant
 from legclus.fillings import (
     chart_image,
     enumerate_complete_sequences,
@@ -31,7 +31,7 @@ from legclus.fillings import (
     run_sequence,
     sequence_to_triangulations,
 )
-from legclus.polygon import BlockModel, block_models, quiver_from_triangulation, triangulations
+from legclus.polygon import Triangulation, block_seed, quiver_from_triangulation, triangulations
 from legclus.ring import Coefficients, LaurentPolynomial, VariableTable
 from legclus.rulings import (
     StratumShape,
@@ -48,6 +48,11 @@ Z = Coefficients.integers()
 
 def report(n, text):
     print(f"[PASS] criterion {n}: {text}")
+
+
+def fan_seeds(w):
+    """Each block's seed of the fan at its vertex N."""
+    return [block_seed(w, b, Triangulation.fan(b.size, b.size)) for b in w.layouts]
 
 
 def test_criterion_01_continuant_identities():
@@ -143,7 +148,7 @@ def test_criterion_04_initial_seed():
     for w in rational_form_words(12):
         # degenerate blocks keep an explicit frozen vertex carrying the
         # constant 1; deleting those recovers the prescribed bare paths
-        fan = strip_unit_frozen(merge_seeds([m.fan_seed() for m in block_models(w)]))
+        fan = strip_unit_frozen(merge_seeds(fan_seeds(w)))
         if w.k == 1:
             # single blocks use the last-block model: paths in a2..an
             chords = w.block_chords(0)[1:]
@@ -176,7 +181,8 @@ def test_word_structure_is_built_once():
     table = w.crossing_table
     assert presentation(w).table is table
     assert all(v.table is table for v in initial_seed(w).seed.variables)
-    assert all(m.table is table for m in block_models(w))
+    assert all(v.table is table for seed in fan_seeds(w) for v in seed.variables)
+    assert w.layouts is w.layouts
     seq = next(enumerate_complete_sequences(w))
     run_sequence(w, seq)
     cached = set(table.continuant_cache)
@@ -188,26 +194,30 @@ def test_word_structure_is_built_once():
 def test_criterion_05_flip_mutation_compatibility():
     models = []
     for n in range(2, 7):
-        models.append(BlockModel(BridgeWord((n, 2)), 0))   # first block, size n+1
-        models.append(BlockModel(BridgeWord((2, n)), 1))   # last block, size n+1
+        models.append((BridgeWord((n, 2)), 0))   # first block, size n+1
+        models.append((BridgeWord((2, n)), 1))   # last block, size n+1
     for n in range(2, 8):
-        models.append(BlockModel(BridgeWord((2, n, 2)), 1))  # middle block, size n
+        models.append((BridgeWord((2, n, 2)), 1))  # middle block, size n
     for n in range(2, 7):
-        models.append(BlockModel(BridgeWord((n,)), 0))     # single block, size n+1
+        models.append((BridgeWord((n,)), 0))     # single block, size n+1
     flips = 0
-    for model in models:
+    for word, b in models:
+        model = word.layouts[b]
         if model.size > 7:
             continue
         for t in triangulations(model.size):
-            seed = model.seed_from_triangulation(t)
+            seed = block_seed(word, model, t)
             _, labels = quiver_from_triangulation(t, [model.frozen_side])
             for d in t.diagonals:
                 mutated = seed.mutate(labels.index(d))
-                target = model.seed_from_triangulation(t.flip(d))
+                target = block_seed(word, model, t.flip(d))
                 assert mutated.canonical_key() == target.canonical_key()
                 flips += 1
         n = model.size
-        D = model.diagonal_to_continuant
+
+        def D(e):
+            return window_continuant(word.crossing_table, Z, model.edge_window(e))
+
         for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
             assert D((i, k)) * D((j, l)) == D((i, j)) * D((k, l)) + D((j, k)) * D((i, l))
     report(5, f"flip equals mutation for {flips} flips over all block polygons with N <= 7, "
@@ -281,7 +291,7 @@ def test_criterion_07_filling_census():
 
 def _single_block_classes(word, b):
     """Classes of pinch orders restricted to one block."""
-    model = block_models(word)[b]
+    model = word.layouts[b]
     chords = word.block_chords(b)
     labeled = chords if (word.k > 1 and b == 0) else chords[1:]
     vertex_of = {c: i + 1 for i, c in enumerate(labeled)}

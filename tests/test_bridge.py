@@ -15,7 +15,6 @@ from legclus.bridge import (
 )
 from legclus.continuant import continuant_int
 from legclus.errors import InputError
-from legclus.polygon import BlockLayout
 
 
 def test_parse_and_format():
@@ -152,7 +151,7 @@ def test_window_rules_live_on_the_word():
         for style in Style:
             system = [(list(chords), nonzero) for chords, nonzero in defining_system(w, style)]
             assert system == _sliced_defining_system(w, style)
-        layouts = [BlockLayout.of(w, b) for b in range(w.k)]
+        layouts = w.layouts
         if w.k == 1:
             assert tuple(layouts[0].vertex_of) == tuple(w.block_chords(0)[1:])
             assert w.seed_windows == w.retained_chords == (tuple(w.block_chords(0)),)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legclus.bridge import rational_form_words
 from legclus.cli import main
 
 
@@ -181,3 +186,61 @@ def test_fillings_svg_needs_a_sequence(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+# words with m <= 5, plus a few that are not in rational form or do not parse
+FUZZ_WORDS = [",".join(map(str, w.blocks)) for w in rational_form_words(5)] + [
+    "2,1,2", "1,1,1", "3,0", "-2", "x", "",
+]
+FUZZ_INTS = st.integers(-3, 12).map(str)
+FUZZ_LISTS = st.lists(st.integers(-3, 12), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+FUZZ_VALUES = {
+    "--at": FUZZ_LISTS,
+    "--sequence": FUZZ_LISTS,
+    "--char": FUZZ_INTS,
+    "--bound": FUZZ_INTS,
+    "--style": st.sampled_from(["inequality", "equation", "other"]),
+    "--format": st.sampled_from(["text", "dot", "svg", "json"]),
+}
+FUZZ_OPTIONS = {
+    "classify": [],
+    "dga": [],
+    "augvar": ["--char", "--count", "--enumerate", "--style"],
+    "seed": ["--format"],
+    "mutate": ["--at"],
+    "seeds": ["--bound", "--enumerate"],
+    "fillings": ["--sequence", "--enumerate", "--format"],
+    "rulings": [],
+    "verify": [],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand and a word, then options drawn mostly from the
+    subcommand's own, with random values; never ``--out``."""
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command, draw(st.sampled_from(FUZZ_WORDS))]
+    if command == "classify" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(FUZZ_WORDS)))
+    options = draw(st.lists(st.sampled_from(FUZZ_OPTIONS[command] + ["--json"]), max_size=3))
+    if draw(st.integers(0, 5)) == 0:  # now and then an option of another subcommand
+        options.append(draw(st.sampled_from(sorted(FUZZ_VALUES))))
+    for option in options:
+        argv.append(option)
+        if option in FUZZ_VALUES:
+            argv.append(draw(FUZZ_VALUES[option]))
+    return argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fuzz_argv())
+def test_random_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

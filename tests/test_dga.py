@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import pytest
 
 from legclus.bridge import BridgeWord, rational_form_words
@@ -7,7 +9,7 @@ from legclus.dga import (
     build_dga,
     differential_of,
     dga_table,
-    disk_table,
+    disk_recursion,
     is_augmentation,
 )
 from legclus.errors import InputError
@@ -22,6 +24,14 @@ def avar(table, name):
 
 def K(table, names):
     return continuant([avar(table, n) for n in names], table, F2)
+
+
+Disks = namedtuple("Disks", "D13 D14 D23 D24 D34")
+
+
+def disks(w, i, t):
+    """Two-boundary disk polynomials for blocks 1 through i."""
+    return Disks(*disk_recursion([block_continuants(w, j, t, F2) for j in range(1, i + 1)]))
 
 
 def test_block_continuants_33():
@@ -51,7 +61,7 @@ def test_block_continuants_54():
 def test_disk_table_base_22():
     w = BridgeWord((2, 2))
     t = dga_table(w)
-    d = disk_table(w, 2, t, F2)
+    d = disks(w, 2, t)
     assert d.D14 == avar(t, "a3") * avar(t, "a1")
     assert d.D34 == K(t, ["a1", "a2"])
     assert d.D24 == K(t, ["a3", "a4"]) * avar(t, "a1")
@@ -62,8 +72,8 @@ def test_disk_table_base_22():
 def test_disk_table_2222_recursion_with_unit_middles():
     w = BridgeWord((2, 2, 2, 2))
     t = dga_table(w)
-    d2 = disk_table(w, 2, t, F2)
-    d4 = disk_table(w, 4, t, F2)
+    d2 = disks(w, 2, t)
+    d4 = disks(w, 4, t)
     # K_M of blocks of size 2 is K_0 = 1, so D13 just propagates
     assert d4.D13 == d2.D13
 
@@ -72,7 +82,7 @@ def test_disk_table_d34_base_is_first_block_continuant():
     for blocks in [(2, 2), (3, 3), (5, 4), (2, 3, 2)]:
         w = BridgeWord(blocks)
         t = dga_table(w)
-        assert disk_table(w, 2, t, F2).D34 == block_continuants(w, 1, t, F2).K
+        assert disks(w, 2, t).D34 == block_continuants(w, 1, t, F2).K
 
 
 def test_disk_table_hand_expansion_k4():
@@ -80,8 +90,8 @@ def test_disk_table_hand_expansion_k4():
     w = BridgeWord((2, 2, 2, 2))
     t = dga_table(w)
     b = {i: block_continuants(w, i, t, F2) for i in (1, 2, 3, 4)}
-    d2 = disk_table(w, 2, t, F2)
-    d4 = disk_table(w, 4, t, F2)
+    d2 = disks(w, 2, t)
+    d4 = disks(w, 4, t)
     cross = b[3].K_L * d2.D34 + b[3].K_M * d2.D24
     assert d4.D14 == b[4].K_L * cross + b[4].K_M * d2.D14
     assert d4.D24 == b[4].K_R * d2.D14 + b[4].K * cross
@@ -170,4 +180,4 @@ def test_one_crossing_block_has_zero_middle_window():
     w = BridgeWord((3, 1))
     t = dga_table(w)
     assert block_continuants(w, 2, t, F2).K_M.is_zero
-    assert disk_table(w, 2, t, F2).D13.is_zero
+    assert disks(w, 2, t).D13.is_zero

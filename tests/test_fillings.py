@@ -9,7 +9,7 @@ from legclus import fillings
 from legclus.augvar import initial_seed
 from legclus.bridge import BridgeWord, fraction_value, rational_form_words
 from legclus.cluster import mutation_class, strip_unit_frozen
-from legclus.errors import AlgebraError, InputError
+from legclus.errors import AlgebraError, BudgetError, InputError
 from legclus.fillings import (
     PinchSequence,
     PinchState,
@@ -301,6 +301,17 @@ def test_census_self_check_catches_a_wrong_greedy(monkeypatch, corrupt):
     monkeypatch.setattr(fillings, "_block_greedy", lambda layout, t: corrupt(greedy(layout, t)))
     with pytest.raises(AlgebraError):
         enumerate_filling_classes(BridgeWord((5, 4)))
+
+
+def test_census_budget_is_checked_before_any_triangulation(monkeypatch):
+    # [14] has C_13 = 742,900 classes: the budget must refuse them before
+    # a single block triangulation is built
+    def refuse(n):
+        raise AssertionError(f"triangulations({n}) built before the budget check")
+
+    monkeypatch.setattr(fillings, "triangulations", refuse)
+    with pytest.raises(BudgetError):
+        enumerate_filling_classes(BridgeWord((14,)))
 
 
 def test_representative_sequence_roundtrip():

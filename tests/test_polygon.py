@@ -4,14 +4,14 @@ import random
 import pytest
 
 from legclus.bridge import BridgeWord
-from legclus.cluster import Seed
+from legclus.cluster import Seed, mutation_class
 from legclus.continuant import continuant
+from legclus.dga import window_continuant
 from legclus.errors import InputError
 from legclus.polygon import (
     BlockLayout,
-    BlockModel,
     Triangulation,
-    block_models,
+    block_seed,
     edges_cross,
     localization_map,
     localization_table,
@@ -22,6 +22,11 @@ from legclus.polygon import (
 from legclus.ring import Coefficients, LaurentPolynomial
 
 Z = Coefficients.integers()
+
+
+def edge_continuant(word, layout):
+    """The continuant an edge of the block polygon carries."""
+    return lambda e: window_continuant(word.crossing_table, Z, layout.edge_window(e))
 
 
 def catalan(n):
@@ -104,41 +109,41 @@ def test_quiver_from_hexagon_snake_matches_three_cycles():
 
 def test_block_model_sizes():
     w = BridgeWord((5, 4))
-    first, last = block_models(w)
+    first, last = w.layouts
     assert first.size == 6 and last.size == 5
-    mid = BlockModel(BridgeWord((2, 3, 2)), 1)
+    mid = BridgeWord((2, 3, 2)).layouts[1]
     assert mid.size == 3
-    assert BlockModel(BridgeWord((3,)), 0).size == 4
+    assert BridgeWord((3,)).layouts[0].size == 4
 
 
 def test_diagonal_to_continuant_first_block():
     w = BridgeWord((5, 4))
-    b = block_models(w)[0]
-    t = b.table
+    D = edge_continuant(w, w.layouts[0])
+    t = w.crossing_table
     a = {i: LaurentPolynomial.variable(t, Z, f"a{i}") for i in range(1, 10)}
-    assert b.diagonal_to_continuant((2, 6)) == a[1]
-    assert b.diagonal_to_continuant((1, 3)) == a[2]
-    assert b.diagonal_to_continuant((5, 6)) == continuant([a[1], a[2], a[3], a[4]], t, Z)
+    assert D((2, 6)) == a[1]
+    assert D((1, 3)) == a[2]
+    assert D((5, 6)) == continuant([a[1], a[2], a[3], a[4]], t, Z)
     # sides other than the frozen one carry 1
     one = LaurentPolynomial.constant(t, Z, 1)
-    assert b.diagonal_to_continuant((1, 2)) == one
-    assert b.diagonal_to_continuant((1, 6)) == one
+    assert D((1, 2)) == one
+    assert D((1, 6)) == one
 
 
 def test_diagonal_to_continuant_last_block():
     w = BridgeWord((5, 4))
-    b = block_models(w)[1]
-    t = b.table
+    D = edge_continuant(w, w.layouts[1])
+    t = w.crossing_table
     a = {i: LaurentPolynomial.variable(t, Z, f"a{i}") for i in range(1, 10)}
-    assert b.diagonal_to_continuant((4, 5)) == continuant([a[7], a[8], a[9]], t, Z)
-    assert b.diagonal_to_continuant((1, 3)) == a[8]
+    assert D((4, 5)) == continuant([a[7], a[8], a[9]], t, Z)
+    assert D((1, 3)) == a[8]
 
 
 def test_fan_seed_matches_initial_path():
     w = BridgeWord((5, 4))
-    b = block_models(w)[0]
-    s = b.fan_seed()
-    t = b.table
+    b = w.layouts[0]
+    s = block_seed(w, b, Triangulation.fan(b.size, b.size))
+    t = w.crossing_table
     a = {i: LaurentPolynomial.variable(t, Z, f"a{i}") for i in range(1, 10)}
     expected = [
         continuant([a[1]], t, Z),
@@ -157,29 +162,29 @@ def test_fan_seed_matches_initial_path():
 def test_flip_equals_mutation_small_blocks():
     words = [BridgeWord((5, 2)), BridgeWord((2, 5)), BridgeWord((2, 4, 2)), BridgeWord((4,))]
     for w in words:
-        for b in block_models(w):
+        for b in w.layouts:
             if b.size < 4:
                 continue
             for t in triangulations(b.size):
-                seed = b.seed_from_triangulation(t)
+                seed = block_seed(w, b, t)
                 _, labels = quiver_from_triangulation(t, [b.frozen_side])
                 for d in t.diagonals:
                     flipped = t.flip(d)
                     v = labels.index(d)
                     mutated = seed.mutate(v)
-                    target = b.seed_from_triangulation(flipped)
+                    target = block_seed(w, b, flipped)
                     assert mutated.canonical_key() == target.canonical_key()
 
 
 def test_plucker_exchange_identity_polynomially():
     # Delta_ik Delta_jl = Delta_ij Delta_kl + Delta_jk Delta_il
     for w in [BridgeWord((7,)), BridgeWord((7, 2)), BridgeWord((2, 7)), BridgeWord((2, 8, 2))]:
-        for b in block_models(w):
+        for b in w.layouts:
             n = b.size
             if n < 4:
                 continue
             for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
-                D = b.diagonal_to_continuant
+                D = edge_continuant(w, b)
                 assert D((i, k)) * D((j, l)) == D((i, j)) * D((k, l)) + D((j, k)) * D((i, l))
 
 
@@ -279,15 +284,15 @@ def test_localization_map_first_vertex_uses_wraparound_unit():
 
 def test_degenerate_blocks_have_singleton_or_empty_seeds():
     w = BridgeWord((2, 2))
-    first, last = block_models(w)
+    first, last = w.layouts
     assert first.size == 3 and last.size == 3
-    s = first.seed_from_triangulation(triangulations(3)[0])
+    s = block_seed(w, first, triangulations(3)[0])
     assert s.quiver.size == 1 and s.quiver.frozen == {0}
     w2 = BridgeWord((1, 2, 1))
-    models = block_models(w2)
+    models = w2.layouts
     assert [m.size for m in models] == [2, 2, 2]
     for m in models:
-        s = m.seed_from_triangulation(triangulations(2)[0])
+        s = block_seed(w2, m, triangulations(2)[0])
         assert s.quiver.size == 1 and s.quiver.frozen == {0}
 
 
@@ -323,3 +328,26 @@ def test_edge_window(blocks, block, windows):
 def test_edge_window_rejects_a_non_edge(edge):
     with pytest.raises(InputError):
         BlockLayout.of(BridgeWord((4,)), 0).edge_window(edge)
+
+
+BLOCK_SHAPES = (
+    [((n, 2), 0) for n in range(1, 8)]  # first block, size n+1
+    + [((2, n), 1) for n in range(1, 8)]  # last block, size n+1
+    + [((2, n, 2), 1) for n in range(2, 8)]  # middle block, size n
+    + [((n,), 0) for n in range(1, 8)]  # single block, size n+1
+)
+
+
+@pytest.mark.parametrize(
+    "blocks, block", BLOCK_SHAPES, ids=[f"{list(b)}-{i}".replace(" ", "") for b, i in BLOCK_SHAPES]
+)
+def test_block_triangulations_reach_every_seed_of_the_fan_class(blocks, block):
+    # the per-block surjection: the seeds of the Catalan-many
+    # triangulations are exactly the mutation class of the fan at vertex N
+    w = BridgeWord(blocks)
+    layout = w.layouts[block]
+    fan = block_seed(w, layout, Triangulation.fan(layout.size, layout.size))
+    seeds, exceeded = mutation_class(fan)
+    assert not exceeded
+    reached = {block_seed(w, layout, t).canonical_key() for t in triangulations(layout.size)}
+    assert reached == {s.canonical_key() for s in seeds}
