@@ -14,7 +14,9 @@ middle ones; the terminal link's retained coordinates are the all-zero
 point, so surviving generators are sent to 0 (a single-block word instead
 keeps a one-parameter terminal circle, swept by one extra unit).  Each
 pinch also emits the diagonal joining its polygon-vertex neighbors, reading
-off a per-block triangulation and hence a cluster seed.
+off a per-block triangulation and hence a cluster seed.  A single block
+pinches any n - 1 of its n crossings and so triangulates its (n+2)-gon:
+the (2,n) torus link has C_n filling classes.
 
 Every chart value is the continuant of the chart images of a chord
 window: t1 multiplies those of the seed windows, t2 runs the same
@@ -68,9 +70,7 @@ def unit_count(word: BridgeWord) -> int:
 
 def pinch_count(word: BridgeWord) -> int:
     """Length of a complete admissible sequence."""
-    if word.k == 1:
-        return word.blocks[0] - 1  # the terminal circle keeps one crossing
-    return unit_count(word)
+    return sum(len(layout.chords) - layout.keep for layout in word.layouts)
 
 
 def run_table(word: BridgeWord) -> VariableTable:
@@ -395,10 +395,13 @@ def _neighbor_sequences(word: BridgeWord, seq: tuple[int, ...]) -> Iterator[tupl
     adjacent transpositions of pinches that are not linked-list neighbors
     at the earlier moment, then, for the blocks in order of first
     occurrence, the swap of a block's final pinch for another candidate
-    of that moment.  The final pinch emits a side or an already-present
-    diagonal whichever candidate it takes, and every later pinch lies in
-    another block, so a swap stays complete and admissible and keeps the
-    triangulation tuple."""
+    of that moment when it happens on a triangle of active vertices.
+    There it emits a side or an already-present diagonal whichever
+    candidate it takes, and every later pinch lies in another block, so
+    a swap stays complete and admissible and keeps the triangulation
+    tuple.  Every final pinch of a word of several blocks happens on a
+    triangle; that of a single block happens on a quadrilateral, where
+    each candidate emits a different new diagonal, so it has no swap."""
     walks = [BlockWalk(layout) for layout in word.layouts]
     finals: dict[int, tuple[int, list[int]]] = {}
     for r, c in enumerate(seq):
@@ -409,7 +412,7 @@ def _neighbor_sequences(word: BridgeWord, seq: tuple[int, ...]) -> Iterator[tupl
             block = walk.survivors
             if word.block_of(d) != b or abs(block.index(c) - block.index(d)) >= 2:
                 yield seq[:r] + (d, c) + seq[r + 2 :]
-        finals[b] = (r, walk.candidates())
+        finals[b] = (r, walk.candidates() if len(walk.active) == 3 else [])
         walk.pinch(c)
     for r, candidates in finals.values():
         for c in candidates:
@@ -524,12 +527,10 @@ def catalan(n: int) -> int:
 
 
 def expected_filling_count(word: BridgeWord) -> int:
-    if word.k == 1:
-        return catalan(word.blocks[0] - 1)
-    total = catalan(word.blocks[0] - 1)
-    for n in word.blocks[1:-1]:
-        total *= catalan(n - 2)
-    return total * catalan(word.blocks[-1] - 1)
+    """The Catalan product over the seed windows: C_{n1-1} C_{n2-2} ...
+    C_{nk-1}, and C_n for a single block, the C_n fillings of the max-tb
+    (2,n) torus link (Y. Pan, Pacific J. Math. 289, 2017)."""
+    return prod(catalan(len(window)) for window in word.seed_windows)
 
 
 def enumerate_filling_classes(word: BridgeWord, budget: int = 100000) -> FillingCensus:

@@ -1,10 +1,10 @@
 """Triangulated polygon models for the per-block cluster structure.
 
 Vertices of an N-gon are labeled 1..N clockwise.  Block polygons attach one
-vertex per crossing of the block (plus one or two unlabeled corner vertices)
-and retain a single frozen side between vertices N-1 and N; every diagonal
-or side carries the continuant of a window of the block's crossing
-variables, by the one rule of ``BlockLayout.edge_window``:
+vertex per retained crossing of the block (plus one unlabeled corner, two
+in the last block) and retain a single frozen side between vertices N-1
+and N; every diagonal or side carries the continuant of a window of the
+block's crossing variables, by the one rule of ``BlockLayout.edge_window``:
 
     (i, j) with j < N   ->  K_{j-i-1}(x_{i+1}, ..., x_{j-1})
     (i, N)              ->  K_{i-1}(x_1, ..., x_{i-1})
@@ -217,42 +217,38 @@ class BlockLayout:
     """Where one block of a rational-form word sits on its polygon, and how
     it pinches.
 
-    A block labels polygon vertices 1.. with its ``retained_chords``, so a
-    block after the first keeps its first crossing off the polygon and
-    never pinches it (``first_fixed``).  A single block is the one
-    exception: it labels ``chords[1:]`` by the last-block rule (its first
-    crossing survives and sweeps the terminal circle), which keeps its
-    class census at C_{n-1}.  A block is done when ``keep`` crossings
-    survive: one in the outer blocks and a single block, two in the middle
-    ones.  Polygon sizes: n+1 for the outer blocks and a single block, n
-    for middle blocks.
+    Every block labels polygon vertices 1.. with its ``retained_chords``
+    (a block after the first keeps its first crossing off the polygon) on
+    a polygon of one more vertex than labels, and the last block has one
+    more still.  Polygon sizes: n+1 for the first block, n for middle
+    blocks, n+1 for the last block and n+2 for a single block.  A crossing
+    is pinchable when it labels a vertex and more than ``keep`` crossings
+    of its block survive: one in the outer blocks and a single block, two
+    in the middle ones.
     """
 
     chords: tuple[int, ...]
     size: int
     vertex_of: Mapping[int, int]  # crossing -> polygon vertex, in crossing order
     keep: int
-    first_fixed: bool
 
     @classmethod
     def of(cls, word: BridgeWord, block: int) -> "BlockLayout":
-        chords = tuple(word.block_chords(block))
-        outer = block in (0, word.k - 1)
-        first_fixed = word.k == 1 or block > 0
-        labeled = chords[1:] if word.k == 1 else word.retained_chords[block]
+        labels = word.retained_chords[block]
+        last = block == word.k - 1
         return cls(
-            chords,
-            len(chords) + 1 if outer else len(chords),
-            {c: v for v, c in enumerate(labeled, 1)},
-            1 if outer else 2,
-            first_fixed,
+            tuple(word.block_chords(block)),
+            len(labels) + 1 + last,
+            {c: v for v, c in enumerate(labels, 1)},
+            1 if block == 0 or last else 2,
         )
 
     def candidates(self, survivors: Sequence[int]) -> list[int]:
         """The crossings of this block pinchable among its survivors."""
         if len(survivors) <= self.keep:
             return []
-        return list(survivors[1:] if self.first_fixed else survivors)
+        # the unlabeled crossings lead the block and are never pinched
+        return list(survivors[len(self.chords) - len(self.vertex_of) :])
 
     @property
     def frozen_side(self) -> Edge:

@@ -149,24 +149,10 @@ def test_criterion_04_initial_seed():
         # degenerate blocks keep an explicit frozen vertex carrying the
         # constant 1; deleting those recovers the prescribed bare paths
         fan = strip_unit_frozen(merge_seeds(fan_seeds(w)))
-        if w.k == 1:
-            # single blocks use the last-block model: paths in a2..an
-            chords = w.block_chords(0)[1:]
-            table = _fresh_table(w)
-            expected_vars = tuple(
-                continuant(
-                    [LaurentPolynomial.variable(table, Z, f"a{c}") for c in chords[: j + 1]],
-                    table,
-                    Z,
-                )
-                for j in range(len(chords))
-            )
-            assert fan.variables == expected_vars
-        else:
-            expected = _expected_thm_seed(w)
-            assert fan.variables == expected.variables
-            assert fan.quiver.matrix == expected.quiver.matrix
-            assert fan.quiver.frozen == expected.quiver.frozen
+        expected = _expected_thm_seed(w)
+        assert fan.variables == expected.variables
+        assert fan.quiver.matrix == expected.quiver.matrix
+        assert fan.quiver.frozen == expected.quiver.frozen
         assert fan.quiver.is_really_full_rank() or not fan.quiver.mutable
         assert initial_seed(w).seed.quiver.is_really_full_rank()
         count += 1
@@ -199,7 +185,7 @@ def test_criterion_05_flip_mutation_compatibility():
     for n in range(2, 8):
         models.append((BridgeWord((2, n, 2)), 1))  # middle block, size n
     for n in range(2, 7):
-        models.append((BridgeWord((n,)), 0))     # single block, size n+1
+        models.append((BridgeWord((n,)), 0))     # single block, size n+2
     flips = 0
     for word, b in models:
         model = word.layouts[b]

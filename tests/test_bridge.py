@@ -151,11 +151,6 @@ def test_window_rules_live_on_the_word():
         for style in Style:
             system = [(list(chords), nonzero) for chords, nonzero in defining_system(w, style)]
             assert system == _sliced_defining_system(w, style)
-        layouts = w.layouts
-        if w.k == 1:
-            assert tuple(layouts[0].vertex_of) == tuple(w.block_chords(0)[1:])
-            assert w.seed_windows == w.retained_chords == (tuple(w.block_chords(0)),)
-            continue
-        for b, layout in enumerate(layouts):
+        for b, layout in enumerate(w.layouts):
             assert tuple(layout.vertex_of) == w.retained_chords[b]
             assert layout.edge_window(layout.frozen_side) == w.seed_windows[b]

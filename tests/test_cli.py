@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -116,8 +117,39 @@ def test_verify_skipped_census_is_not_a_pass(capsys, monkeypatch):
     assert code == 1
     data = json.loads(out)
     assert data["ok"] is False
-    assert data["skipped"] == ["filling census"]
+    assert data["skipped"] == [
+        "ruling count is the Fibonacci product", "Kauffman point-count identity", "filling census"
+    ]
     assert all(data["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "argv", [["rulings", "30"], ["augvar", "3", "--count", "--char", "20011"]]
+)
+def test_over_budget_listing_is_refused_before_it_starts(capsys, argv):
+    # 1,346,269 rulings, and a transfer over ~20011^3 states and values
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_seeds_bound_flag_wins_over_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("LEGCLUS_BUDGET", "5")
+    code, out = run(capsys, "seeds", "6", "--bound", "10000")
+    assert code == 0 and out == "mutation class of [6]: 132 seeds\n"
+    code, out = run(capsys, "seeds", "6")
+    assert code == 0 and out == "mutation class of [6]: 5 seeds (bound hit)\n"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_verify_single_block(capsys, n):
+    code, out = run(capsys, "verify", str(n), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True and data["checks"]["fan seed matches initial seed"] is True
 
 
 def test_bad_word_is_domain_error(capsys):

@@ -47,9 +47,9 @@ def test_pinchable_fresh_22():
     assert st.pinchable_chords() == [1, 2, 4]
 
 
-def test_pinchable_k1_keeps_first_crossing():
+def test_pinchable_k1_every_crossing():
     st = PinchState(BridgeWord((3,)))
-    assert st.pinchable_chords() == [2, 3]
+    assert st.pinchable_chords() == [1, 2, 3]
 
 
 def test_terminal_state_has_no_pinchable():
@@ -226,7 +226,7 @@ def test_commutation_classes_match_triangulations_small():
 def test_filling_census_counts():
     assert enumerate_filling_classes(BridgeWord((3, 3))).count == 4
     assert enumerate_filling_classes(BridgeWord((5, 4))).count == 70
-    assert enumerate_filling_classes(BridgeWord((3,))).count == 2
+    assert enumerate_filling_classes(BridgeWord((3,))).count == 5
 
 
 def test_census_representatives_hit_their_classes():
@@ -261,12 +261,7 @@ def test_census_matches_every_complete_sequence_up_to_m9():
 
 
 def test_fillings_reach_every_seed_of_the_mutation_class():
-    # single-block words are left out: initial_seed uses the full path
-    # model K_1 -> ... -> [K_n] there, while run_sequence assigns the seed
-    # of the last-block polygon model, so their keys differ by design
     for w in rational_form_words(7):
-        if w.k == 1:
-            continue
         census = enumerate_filling_classes(w)
         filled = {
             strip_unit_frozen(run_sequence(w, rep).seed).canonical_key()
@@ -384,7 +379,7 @@ def test_same_component_matches_union_find_on_every_pinch():
                 st.apply_pinch(c)
                 assert st.records[-1].same_component is expected, (w, seq, c)
                 pinches += 1
-    assert pinches == 2431
+    assert pinches == 5878
     # on a knot every first pinch merges arcs of one component ([1] has none)
     for w in rational_form_words(12, min_total=2):
         if fraction_value(w).p % 2:
@@ -485,4 +480,4 @@ def test_torus_chart_check_rejects_a_broken_image():
             verdict = is_torus_chart(bad)
             assert verdict == all(chart_image(bad, v).is_unit() for v in bad.seed.variables)
             verdicts.append(verdict)
-    assert len(verdicts) == 19 and verdicts.count(False) == 12
+    assert len(verdicts) == 19 and verdicts.count(False) == 13

@@ -113,7 +113,7 @@ def test_block_model_sizes():
     assert first.size == 6 and last.size == 5
     mid = BridgeWord((2, 3, 2)).layouts[1]
     assert mid.size == 3
-    assert BridgeWord((3,)).layouts[0].size == 4
+    assert BridgeWord((3,)).layouts[0].size == 5
 
 
 def test_diagonal_to_continuant_first_block():
@@ -312,9 +312,9 @@ def test_svg_and_text_render():
         ((2, 3, 2), 1, {(1, 2): (), (2, 3): (4,), (1, 3): ()}),
         # last block
         ((2, 3), 1, {(1, 3): (5,), (2, 4): (4,), (3, 4): (4, 5), (1, 4): (), (2, 3): ()}),
-        # a single block follows the last-block rule
-        ((4,), 0, {(1, 3): (3,), (2, 4): (4,), (1, 4): (3, 4), (2, 5): (2,), (3, 5): (2, 3),
-                   (4, 5): (2, 3, 4), (1, 5): ()}),
+        # a single block labels every crossing, on an (n+2)-gon
+        ((4,), 0, {(1, 3): (2,), (2, 4): (3,), (1, 4): (2, 3), (2, 5): (3, 4), (4, 6): (1, 2, 3),
+                   (5, 6): (1, 2, 3, 4), (1, 6): ()}),
     ],
 )
 def test_edge_window(blocks, block, windows):
@@ -324,7 +324,7 @@ def test_edge_window(blocks, block, windows):
         assert layout.edge_window((i, j)) == layout.edge_window((j, i)) == window
 
 
-@pytest.mark.parametrize("edge", [(0, 2), (2, 2), (3, 6), (1, 1)])
+@pytest.mark.parametrize("edge", [(0, 2), (2, 2), (3, 7), (1, 1)])
 def test_edge_window_rejects_a_non_edge(edge):
     with pytest.raises(InputError):
         BlockLayout.of(BridgeWord((4,)), 0).edge_window(edge)
@@ -334,7 +334,7 @@ BLOCK_SHAPES = (
     [((n, 2), 0) for n in range(1, 8)]  # first block, size n+1
     + [((2, n), 1) for n in range(1, 8)]  # last block, size n+1
     + [((2, n, 2), 1) for n in range(2, 8)]  # middle block, size n
-    + [((n,), 0) for n in range(1, 8)]  # single block, size n+1
+    + [((n,), 0) for n in range(1, 8)]  # single block, size n+2
 )
 
 
