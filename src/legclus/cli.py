@@ -175,6 +175,8 @@ def cmd_augvar(args) -> None:
 
 def cmd_seed(args) -> None:
     word = BridgeWord.parse(args.word)
+    if args.format == "dot" and args.json:
+        raise InputError("--format dot draws the quiver, which --json cannot carry")
     ws = augvar.initial_seed(word)
     if args.format == "dot":
         labels = [v.canonical_text() for v in ws.seed.variables]
@@ -228,6 +230,8 @@ def cmd_fillings(args) -> None:
     word = BridgeWord.parse(args.word)
     if args.format == "svg" and not args.sequence:
         raise InputError("--format svg draws a filling and needs --sequence")
+    if args.format == "svg" and args.json:
+        raise InputError("--format svg draws a filling, which --json cannot carry")
     if args.sequence:
         seq = tuple(_int_list(args.sequence, "--sequence"))
         res = fillings.run_sequence(word, seq)

@@ -34,11 +34,13 @@ on top), ``sequence_to_triangulations``, the commutation moves of
 ``_neighbor_sequences`` and the representatives.  The emitted
 triangulations give the seed by ``polygon.block_seed``.  The filling
 census checks its Catalan-product size against the budget before it
-builds a triangulation, runs the per-block greedy of
-``representative_sequence`` once per triangulation of each block, joins
-the per-block orders in ``itertools.product`` order, and walks every
-joined representative once more: a representative whose emitted
-diagonals differ from its target raises ``AlgebraError``.
+builds a triangulation, then runs the per-block greedy of
+``representative_sequence`` once per triangulation of each block and
+checks that order on a walk of its block alone (``_checked_block``): an
+order that is not admissible, not complete or does not emit exactly its
+target's diagonals raises ``AlgebraError``.  Block walks never read
+another block, so the census joins the checked orders in
+``itertools.product`` order without walking the joined sequences.
 """
 
 from __future__ import annotations
@@ -77,20 +79,6 @@ def run_table(word: BridgeWord) -> VariableTable:
     s_names = [f"s{i}" for i in range(1, unit_count(word) + 1)]
     names = [a_name(j) for j in range(1, word.total + 1)] + s_names
     return VariableTable(names, invertible=s_names)
-
-
-@dataclass(frozen=True)
-class PinchSequence:
-    word: BridgeWord
-    chords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chords", tuple(self.chords))
-        if len(set(self.chords)) != len(self.chords):
-            raise InputError("pinching sequence repeats a crossing")
-        for c in self.chords:
-            if not 1 <= c <= self.word.total:
-                raise InputError(f"crossing {c} out of range for {self.word}")
 
 
 @dataclass
@@ -243,14 +231,10 @@ class PinchState:
         return tuple(walk.triangulation() for walk in self.walks)
 
 
-def sequence_to_triangulations(
-    word: BridgeWord, seq: PinchSequence | Sequence[int]
-) -> tuple[Triangulation, ...]:
+def sequence_to_triangulations(word: BridgeWord, seq: Sequence[int]) -> tuple[Triangulation, ...]:
     """Per-block triangulations read off a complete admissible sequence,
     without the substitution algebra."""
-    chords = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
-    walks = _walk(word, chords)
-    return tuple(walk.triangulation() for walk in walks)
+    return tuple(walk.triangulation() for walk in _walk(word, seq))
 
 
 @dataclass(frozen=True)
@@ -266,11 +250,11 @@ class RunResult:
     records: tuple[PinchRecord, ...]
 
 
-def run_sequence(word: BridgeWord, seq: PinchSequence | Sequence[int]) -> RunResult:
+def run_sequence(word: BridgeWord, seq: Sequence[int]) -> RunResult:
     """Apply a complete admissible sequence; returns the triangulation
     tuple, the assigned seed, the unit parametrization of the retained
     coordinates, and the forced base-point monomials."""
-    chords = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
+    chords = tuple(seq)
     state = PinchState(word)
     for c in chords:
         state.apply_pinch(c)
@@ -440,24 +424,18 @@ def _orbit(word: BridgeWord, start: tuple[int, ...], cap: int) -> Iterator[tuple
 
 
 def commutation_equivalent(
-    word: BridgeWord,
-    s1: PinchSequence | Sequence[int],
-    s2: PinchSequence | Sequence[int],
-    cap: int = 200000,
+    word: BridgeWord, s1: Sequence[int], s2: Sequence[int], cap: int = 200000
 ) -> bool:
     """Reachability under commutation moves, computed by orbit search."""
-    a = s1.chords if isinstance(s1, PinchSequence) else tuple(s1)
-    b = s2.chords if isinstance(s2, PinchSequence) else tuple(s2)
+    a, b = tuple(s1), tuple(s2)
     _walk(word, a)
     _walk(word, b)
     return any(t == b for t in _orbit(word, a, cap))
 
 
-def canonical_sequence(
-    word: BridgeWord, seq: PinchSequence | Sequence[int], cap: int = 200000
-) -> tuple[int, ...]:
+def canonical_sequence(word: BridgeWord, seq: Sequence[int], cap: int = 200000) -> tuple[int, ...]:
     """Lexicographically least sequence in the commutation orbit."""
-    a = seq.chords if isinstance(seq, PinchSequence) else tuple(seq)
+    a = tuple(seq)
     _walk(word, a)
     return min(_orbit(word, a, cap))
 
@@ -484,32 +462,37 @@ def _block_greedy(layout: BlockLayout, target: Triangulation) -> tuple[int, ...]
     return tuple(out)
 
 
-def _checked_representative(
-    word: BridgeWord, target: Sequence[Triangulation], seq: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The sequence itself, once the walker has confirmed that it is
-    complete, admissible and emits exactly the target's diagonals."""
+def _checked_block(layout: BlockLayout, target: Triangulation, order: Sequence[int]) -> tuple[int, ...]:
+    """The block's pinch order itself, once a walk of that block alone has
+    confirmed that it is admissible, complete and emits exactly the
+    target's diagonals."""
+    walk = BlockWalk(layout)
     try:
-        walks = _walk(word, seq)
+        for c in order:
+            walk.pinch(c)
     except InputError as exc:
-        raise AlgebraError(f"representative sequence {seq} is not admissible: {exc}") from None
-    if any(walk.emitted != t.diagonals for walk, t in zip(walks, target)):
-        raise AlgebraError("representative sequence does not reproduce the target")
-    return seq
+        raise AlgebraError(f"pinch order {order} of block {layout.chords} is not admissible: {exc}") from None
+    if walk.candidates():
+        raise AlgebraError(f"pinch order {order} of block {layout.chords} is not complete")
+    if walk.emitted != target.diagonals:
+        raise AlgebraError(f"pinch order {order} does not reproduce {target}")
+    return tuple(order)
 
 
 def representative_sequence(
     word: BridgeWord, target: Sequence[Triangulation]
 ) -> tuple[int, ...]:
     """A complete admissible sequence whose emitted diagonals reproduce the
-    given per-block triangulations (blocks pinched left to right)."""
+    given per-block triangulations: the checked greedy order of each block,
+    blocks pinched left to right."""
     layouts = word.layouts
     if len(target) != len(layouts):
         raise InputError(f"{word} needs {len(layouts)} triangulations, got {len(target)}")
     if any(t.n != layout.size for layout, t in zip(layouts, target)):
         raise InputError("triangulation size mismatch")
-    seq = tuple(c for layout, t in zip(layouts, target) for c in _block_greedy(layout, t))
-    return _checked_representative(word, target, seq)
+    return tuple(
+        c for layout, t in zip(layouts, target) for c in _checked_block(layout, t, _block_greedy(layout, t))
+    )
 
 
 @dataclass(frozen=True)
@@ -535,22 +518,18 @@ def expected_filling_count(word: BridgeWord) -> int:
 
 def enumerate_filling_classes(word: BridgeWord, budget: int = 100000) -> FillingCensus:
     """Distinct per-block triangulation tuples over all admissible complete
-    sequences, each with one representative sequence."""
+    sequences, each with the representative of ``representative_sequence``:
+    the checked greedy order of every block triangulation is computed once,
+    and the orders are joined in ``itertools.product`` order."""
     layouts = word.layouts
     # C_{N-2} triangulations per N-gon, counted before any is built
     total = prod(catalan(layout.size - 2) for layout in layouts)
     if total > budget:
         raise BudgetError(f"{total} filling classes exceed the budget {budget}")
-    per_block = [triangulations(layout.size) for layout in layouts]
-    # the greedy pinch order of each block's triangulations, computed once
-    choices = [
-        [(t, _block_greedy(layout, t)) for t in tris]
-        for layout, tris in zip(layouts, per_block)
+    orders = [
+        [_checked_block(layout, t, _block_greedy(layout, t)) for t in triangulations(layout.size)]
+        for layout in layouts
     ]
-    reps = []
-    for combo in itertools.product(*choices):
-        target = [t for t, _ in combo]
-        seq = tuple(itertools.chain.from_iterable(head for _, head in combo))
-        reps.append(_checked_representative(word, target, seq))
-    counts = tuple(len(tris) for tris in per_block)
-    return FillingCensus(word, prod(counts), counts, tuple(reps))
+    reps = tuple(tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*orders))
+    counts = tuple(map(len, orders))
+    return FillingCensus(word, prod(counts), counts, reps)

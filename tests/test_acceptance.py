@@ -264,52 +264,53 @@ def test_criterion_07_filling_census():
             by_tri
         )
 
-    # [5,4] at 70, via per-block class counts
+    # [5,4] at 70, via per-block class counts; then a single block ([5] at
+    # C_5 = 42) and a middle block ([3,4,3])
     w54 = BridgeWord((5, 4))
     census = enumerate_filling_classes(w54)
     assert census.per_block_counts == (14, 5) and census.count == 70
     for b in range(2):
         counts = _single_block_classes(w54, b)
         assert counts == census.per_block_counts[b]
+    for w, b in [(BridgeWord((5,)), 0), (BridgeWord((3, 4, 3)), 1)]:
+        assert _single_block_classes(w, b) == enumerate_filling_classes(w).per_block_counts[b]
+    assert _single_block_classes(BridgeWord((5,)), 0) == 42
     report(7, f"commutation classes = triangulation tuples = Catalan products for "
-              f"{len(words)} words (m <= 8); [5,4] checked at 70 via per-block counts")
+              f"{len(words)} words (m <= 8); [5,4] checked at 70 via per-block counts, "
+              f"[5] at 42 and the middle block of [3,4,3]")
 
 
 def _single_block_classes(word, b):
-    """Classes of pinch orders restricted to one block."""
-    model = word.layouts[b]
+    """Classes of pinch orders restricted to one block, with the layout
+    rule written out here: the first block (a single block too) labels
+    every crossing on polygon vertices 1.., a later block all but its
+    first; a labeled crossing is pinchable while more than one crossing
+    of an outer block, or two of a middle block, survive."""
+    size = word.layouts[b].size
     chords = word.block_chords(b)
-    labeled = chords if (word.k > 1 and b == 0) else chords[1:]
+    labeled = chords if b == 0 else chords[1:]
     vertex_of = {c: i + 1 for i, c in enumerate(labeled)}
-    keep = 1 if (b in (0, word.k - 1) or word.k == 1) else 2
+    keep = 1 if b in (0, word.k - 1) else 2
 
     results = set()
 
     def rec(survivors, active, emitted):
-        if word.k > 1 and b == 0:
-            candidates = survivors if len(survivors) > 1 else []
-        elif b == word.k - 1:
-            candidates = survivors[1:] if len(survivors) > 1 else []
-        else:
-            candidates = survivors[1:] if len(survivors) > 2 else []
+        candidates = [c for c in survivors if c in vertex_of] if len(survivors) > keep else []
         if not candidates:
             results.add(frozenset(emitted))
             return
         for c in candidates:
-            w_v = vertex_of[c]
-            i = active.index(w_v)
+            i = active.index(vertex_of[c])
             left, right = active[i - 1], active[(i + 1) % len(active)]
             edge = (left, right) if left < right else (right, left)
-            new_emitted = emitted | {edge} if not _is_side(model.size, edge) else emitted
+            side = edge[1] - edge[0] == 1 or edge == (1, size)
             rec(
                 [x for x in survivors if x != c],
                 active[:i] + active[i + 1 :],
-                new_emitted,
+                emitted if side else emitted | {edge},
             )
 
-    from legclus.polygon import is_side as _is_side
-
-    rec(list(chords), list(range(1, model.size + 1)), frozenset())
+    rec(list(chords), list(range(1, size + 1)), frozenset())
     return len(results)
 
 

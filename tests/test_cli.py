@@ -220,6 +220,21 @@ def test_fillings_svg_needs_a_sequence(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "3,3", "--format", "dot", "--json"],
+        ["fillings", "3,3", "--sequence", "1,2,5,6", "--format", "svg", "--json"],
+    ],
+)
+def test_drawing_with_json_is_refused(capsys, argv):
+    # JSON cannot carry the drawing, so the call fails instead of dropping it
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # words with m <= 5, plus a few that are not in rational form or do not parse
 FUZZ_WORDS = [",".join(map(str, w.blocks)) for w in rational_form_words(5)] + [
     "2,1,2", "1,1,1", "3,0", "-2", "x", "",

@@ -11,7 +11,6 @@ from legclus.bridge import BridgeWord, fraction_value, rational_form_words
 from legclus.cluster import mutation_class, strip_unit_frozen
 from legclus.errors import AlgebraError, BudgetError, InputError
 from legclus.fillings import (
-    PinchSequence,
     PinchState,
     canonical_sequence,
     chart_image,
@@ -126,6 +125,17 @@ def test_incomplete_sequence_rejected():
         sequence_to_triangulations(BridgeWord((3, 3)), (1, 2))
     with pytest.raises(InputError):
         run_sequence(BridgeWord((3, 3)), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [(1, 1, 5, 6), (0, 1, 5, 6), (-1, 1, 5, 6), (1, 2, 5, 7), (1, 2, 5, 6, 1)],
+    ids=["repeated", "zero", "negative", "past-the-end", "pinched-after-complete"],
+)
+@pytest.mark.parametrize("follow", [run_sequence, sequence_to_triangulations, canonical_sequence])
+def test_invalid_sequence_is_rejected_by_the_walk(follow, seq):
+    with pytest.raises(InputError, match="not pinchable now"):
+        follow(BridgeWord((3, 3)), seq)
 
 
 def test_run_22():
@@ -296,6 +306,22 @@ def test_census_self_check_catches_a_wrong_greedy(monkeypatch, corrupt):
     monkeypatch.setattr(fillings, "_block_greedy", lambda layout, t: corrupt(greedy(layout, t)))
     with pytest.raises(AlgebraError):
         enumerate_filling_classes(BridgeWord((5, 4)))
+
+
+def test_census_needs_no_word_walk(monkeypatch):
+    # each block's order is checked on its own walk, so the census and the
+    # representatives never walk a whole word
+    def refuse(word, chords):
+        raise AssertionError(f"word walk of {chords}")
+
+    monkeypatch.setattr(fillings, "_walk", refuse)
+    census = enumerate_filling_classes(BridgeWord((5, 6, 5)))
+    assert census.count == len(set(census.representatives)) == 2744
+    w = BridgeWord((6, 4, 6))
+    tris = [Triangulation.fan(layout.size, layout.size) for layout in w.layouts]
+    rep = representative_sequence(w, tris)
+    monkeypatch.undo()
+    assert sequence_to_triangulations(w, rep) == tuple(tris)
 
 
 def test_census_budget_is_checked_before_any_triangulation(monkeypatch):
