@@ -339,20 +339,11 @@ def solve_t2_char2(word: BridgeWord, values: Mapping[str, int]) -> int:
 
 @dataclass(frozen=True)
 class WordSeed:
-    """Initial seed with its block layout.
-
-    block_mutables[i] lists quiver vertex ids of block i's mutable path (in
-    crossing order); block_frozen[i] is the frozen path end.  Mutable
-    ordinals are 1-based across the whole word, in path order.
-    """
+    """The initial seed of a word: the block path seeds merged in block
+    order, so block i's vertices follow those of blocks 1..i-1, its mutable
+    path in crossing order and then its frozen end."""
 
     seed: Seed
-    block_mutables: tuple[tuple[int, ...], ...]
-    block_frozen: tuple[int, ...]
-
-    @property
-    def mutable_vertices(self) -> list[int]:
-        return [v for block in self.block_mutables for v in block]
 
 
 def initial_seed(word: BridgeWord) -> WordSeed:
@@ -360,15 +351,13 @@ def initial_seed(word: BridgeWord) -> WordSeed:
 
     For k >= 2 the paths have n1-2, ni-3, nk-2 mutable vertices; a single
     block yields the full path K_1 -> ... -> K_{n-1} -> [K_n] whose strata
-    and point count match the n-coordinate presentation.
+    and point count match the n-coordinate presentation.  Every frozen
+    variable is a continuant of a nonempty window, never the constant 1.
     """
     word.require_rational_form()
     table = word.crossing_table
     ring = Coefficients.integers()
     seeds = []
-    block_mutables = []
-    block_frozen = []
-    offset = 0
     for prefix in word.seed_windows:
         length = len(prefix)  # total path vertices including the frozen end
         variables = tuple(
@@ -377,11 +366,4 @@ def initial_seed(word: BridgeWord) -> WordSeed:
         arrows = [(j, j + 1) for j in range(length - 1)]
         frozen = {length - 1} if length else set()
         seeds.append(Seed(Quiver.from_arrows(length, arrows, frozen), variables))
-        block_mutables.append(tuple(range(offset, offset + max(length - 1, 0))))
-        if length:
-            block_frozen.append(offset + length - 1)
-        else:
-            block_frozen.append(-1)
-        offset += length
-    merged = merge_seeds(seeds)
-    return WordSeed(merged, tuple(block_mutables), tuple(block_frozen))
+    return WordSeed(merge_seeds(seeds))

@@ -49,11 +49,9 @@ class BridgeWord:
         if body.startswith("[") and body.endswith("]"):
             body = body[1:-1]
         try:
-            blocks = tuple(int(part) for part in body.split(",") if part.strip())
+            blocks = tuple(int(part) for part in body.split(","))
         except ValueError:
             raise InputError(f"cannot parse bridge word {text!r}") from None
-        if not blocks:
-            raise InputError(f"cannot parse bridge word {text!r}")
         return cls(blocks)
 
     @property

@@ -50,8 +50,11 @@ def _emit(args, payload: dict[str, Any], text: str) -> None:
         data = text
     path = getattr(args, "out", None)
     if path:
-        with open(path, "w") as fh:
-            fh.write(data)
+        try:
+            with open(path, "w") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(data)
 
@@ -228,12 +231,12 @@ def cmd_seeds(args) -> None:
 
 def cmd_fillings(args) -> None:
     word = BridgeWord.parse(args.word)
-    if args.format == "svg" and not args.sequence:
+    if args.format == "svg" and args.sequence is None:
         raise InputError("--format svg draws a filling and needs --sequence")
     if args.format == "svg" and args.json:
         raise InputError("--format svg draws a filling, which --json cannot carry")
-    if args.sequence:
-        seq = tuple(_int_list(args.sequence, "--sequence"))
+    if args.sequence is not None:
+        seq = tuple(_int_list(args.sequence, "--sequence")) if args.sequence else ()
         res = fillings.run_sequence(word, seq)
         lines = [f"pinching sequence {list(seq)} on {word}"]
         for b, t in enumerate(res.triangulations):
@@ -350,13 +353,7 @@ def cmd_verify(args) -> None:
         block_seed(word, layout, Triangulation.fan(layout.size, layout.size))
         for layout in word.layouts
     ]
-    merged = strip_unit_frozen(merge_seeds(fan))
-    checks.append(
-        (
-            "fan seed matches initial seed",
-            merged.canonical_key() == strip_unit_frozen(ws.seed).canonical_key(),
-        )
-    )
+    checks.append(("fan seed matches initial seed", strip_unit_frozen(merge_seeds(fan)) == ws.seed))
 
     skipped: list[str] = []
     ruling_checks = ["ruling count is the Fibonacci product", "Kauffman point-count identity"]

@@ -94,12 +94,31 @@ class Quiver:
     def is_really_full_rank(self) -> bool:
         """True when the columns of the mutable-rows submatrix span the full
         integer lattice (rank equals the mutable count and every invariant
-        factor is 1)."""
-        rows = [list(self.matrix[v]) for v in self.mutable]
-        diag = _smith_diagonal(rows)
-        if len(diag) < len(rows):
-            return False
-        return all(d == 1 for d in diag)
+        factor is 1).
+
+        Row by row, Euclid's algorithm over the columns that remain leaves
+        one column nonzero in that row, its pivot, which is then retired.
+        Column operations keep the lattice, and the pivots form a triangular
+        basis of it, so the columns span Z^r exactly when every row gets a
+        pivot and every pivot is 1 or -1.
+        """
+        rows = [self.matrix[v] for v in self.mutable]
+        r = len(rows)
+        cols = [list(col) for col in zip(*rows)]
+        for i in range(r):
+            live = [col for col in cols if col[i]]
+            while len(live) > 1:
+                pivot = min(live, key=lambda col: abs(col[i]))
+                for col in live:
+                    if col is not pivot:
+                        q = col[i] // pivot[i]
+                        for t in range(i, r):
+                            col[t] -= q * pivot[t]
+                live = [col for col in live if col[i]]
+            if not live or abs(live[0][i]) != 1:
+                return False
+            cols = [col for col in cols if col is not live[0]]
+        return True
 
     def to_dot(self, labels: Sequence[str] | None = None) -> str:
         lines = ["digraph quiver {"]
@@ -113,59 +132,6 @@ class Quiver:
                     lines.append(f"  v{i} -> v{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _smith_diagonal(rows: list[list[int]]) -> list[int]:
-    """Nonzero diagonal of an integer diagonalization by unimodular row and
-    column operations (enough to read off rank and lattice saturation)."""
-    m = [row[:] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < n_rows and t < n_cols:
-        pivot = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                v = m[i][j]
-                if v and (pivot is None or abs(v) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            p = m[t][t]
-            clean = True
-            for i in range(t + 1, n_rows):
-                q = m[i][t] // p
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                if m[i][t]:
-                    clean = False
-            for j in range(t + 1, n_cols):
-                q = m[t][j] // p
-                if q:
-                    for row in m:
-                        row[j] -= q * row[t]
-                if m[t][j]:
-                    clean = False
-            if clean:
-                break
-            best = (t, t)
-            for i in range(t, n_rows):
-                for j in range(t, n_cols):
-                    if m[i][j] and abs(m[i][j]) < abs(m[best[0]][best[1]]):
-                        best = (i, j)
-            bi, bj = best
-            m[t], m[bi] = m[bi], m[t]
-            for row in m:
-                row[t], row[bj] = row[bj], row[t]
-        diag.append(abs(m[t][t]))
-        t += 1
-    return diag
 
 
 @dataclass(frozen=True)

@@ -174,8 +174,6 @@ def test_homotopy_reduce():
 
 def test_initial_seed_layout_54():
     ws = initial_seed(BridgeWord((5, 4)))
-    assert ws.block_mutables == ((0, 1, 2), (4, 5))
-    assert ws.block_frozen == (3, 6)
     t = ws.seed.variables[0].table
     assert ws.seed.variables[0] == K(t, ["a1"])
     assert ws.seed.variables[3] == K(t, ["a1", "a2", "a3", "a4"])

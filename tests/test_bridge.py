@@ -20,9 +20,11 @@ from legclus.errors import InputError
 def test_parse_and_format():
     assert BridgeWord.parse("5,4") == BridgeWord((5, 4))
     assert BridgeWord.parse("[5,4]") == BridgeWord((5, 4))
+    assert BridgeWord.parse("5, 4") == BridgeWord((5, 4))
     assert str(BridgeWord((5, 4))) == "[5,4]"
-    with pytest.raises(InputError):
-        BridgeWord.parse("5,x")
+    for text in ("5,x", "5,,4", "5,4,"):
+        with pytest.raises(InputError, match="cannot parse bridge word"):
+            BridgeWord.parse(text)
 
 
 def test_rational_form_flag():

@@ -107,6 +107,20 @@ def test_verify_fan_seed_with_two_crossing_blocks(capsys):
     assert data["skipped"] == []
 
 
+@pytest.mark.parametrize("word", ["5,4", "7", "2,2,2,2"])
+def test_verify_builds_no_canonical_key(capsys, monkeypatch, word):
+    # the fan seed is compared with the initial seed vertex for vertex
+    from legclus import cluster
+
+    def refuse(*args):
+        raise AssertionError("verify rendered a canonical key")
+
+    monkeypatch.setattr(cluster.Seed, "canonical_key", refuse)
+    monkeypatch.setattr(cluster, "_canonical_key", refuse)
+    assert main(["verify", word]) == 0
+    assert "[PASS] fan seed matches initial seed" in capsys.readouterr().out
+
+
 def test_verify_skipped_census_is_not_a_pass(capsys, monkeypatch):
     monkeypatch.setenv("LEGCLUS_BUDGET", "10")
     code, out = run(capsys, "verify", "6,5,6")
@@ -211,6 +225,27 @@ def test_format_json_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert "invalid choice: 'json'" in captured.err.splitlines()[-1]
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_empty_sequence_is_run(capsys):
+    # "" is the empty sequence, the only complete one of a one-crossing block
+    code, out = run(capsys, "fillings", "1", "--sequence", "")
+    assert code == 0
+    assert "pinching sequence [] on [1]" in out and "  t1 = s1\n" in out
+    assert main(["fillings", "2,2", "--sequence", ""]) == 1
+    captured = capsys.readouterr()
+    assert "sequence of length 0 is not complete" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["missing/x.txt", "."])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, target):
+    # a missing directory and a directory in place of a file
+    path = tmp_path / target
+    assert main(["classify", "3,3", "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_fillings_svg_needs_a_sequence(capsys):

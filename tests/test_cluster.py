@@ -124,6 +124,42 @@ def test_really_full_rank_cases():
     assert not double.is_really_full_rank()
 
 
+def random_quiver(rng):
+    n = rng.randint(1, 7)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.choice([0, 0, 1, -1, 2, -2, rng.randint(-5, 5)])
+            m[i][j], m[j][i] = x, -x
+    return Quiver(m, {v for v in range(n) if rng.random() < 0.4})
+
+
+def test_really_full_rank_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def oracle(q):
+        rows = [q.matrix[v] for v in q.mutable]
+        if not rows:
+            return True
+        factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        return len(factors) == len(rows) and all(abs(d) == 1 for d in factors)
+
+    # mutable rows [[2,0,1],[0,2,1]] against the frozen vertices: rank 2,
+    # but the columns span only an index-2 sublattice of Z^2
+    unsaturated = Quiver.from_arrows(5, [(0, 2), (0, 2), (0, 4), (1, 3), (1, 3), (1, 4)], {2, 3, 4})
+    assert [unsaturated.matrix[v][2:] for v in unsaturated.mutable] == [(2, 0, 1), (0, 2, 1)]
+    assert not unsaturated.is_really_full_rank() and not oracle(unsaturated)
+    rng = random.Random(19)
+    answers = set()
+    for _ in range(300):
+        q = random_quiver(rng)
+        want = oracle(q)
+        assert q.is_really_full_rank() == want, q
+        answers.add(want)
+    assert answers == {True, False}
+
+
 def test_really_full_rank_preserved_by_mutation():
     rng = random.Random(9)
     for n in range(3, 6):
