@@ -79,10 +79,6 @@ class VarietyPresentation:
     def coordinates(self) -> tuple[str, ...]:
         return tuple(a_name(c) for block in self.block_chords for c in block)
 
-    @property
-    def dimension(self) -> int:
-        return sum(len(b) for b in self.block_chords) - len(self.equations)
-
 
 def presentation(word: BridgeWord, style: Style = Style.INEQUALITY) -> VarietyPresentation:
     word.require_rational_form()

@@ -19,7 +19,7 @@ from .augvar import Style
 from .bridge import BridgeWord
 from .cluster import Seed, merge_seeds, mutation_class, strip_unit_frozen
 from .dga import build_dga
-from .errors import AlgebraError, BudgetError, InputError
+from .errors import BudgetError, InputError
 from .polygon import Triangulation, block_seed
 from .ring import Coefficients
 
@@ -350,7 +350,7 @@ def cmd_verify(args) -> None:
     ws = augvar.initial_seed(word)
     checks.append(("really full rank", ws.seed.quiver.is_really_full_rank()))
     fan = [
-        block_seed(word, layout, Triangulation.fan(layout.size, layout.size))
+        block_seed(word, layout, Triangulation.fan(layout.size))
         for layout in word.layouts
     ]
     checks.append(("fan seed matches initial seed", strip_unit_frozen(merge_seeds(fan)) == ws.seed))

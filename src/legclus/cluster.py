@@ -15,7 +15,7 @@ from math import prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import AlgebraError, BudgetError, InputError
+from .errors import AlgebraError, InputError
 from .ring import LaurentPolynomial, exact_divide
 
 

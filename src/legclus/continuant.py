@@ -130,8 +130,8 @@ class BlockContinuants:
 
 @dataclass(frozen=True)
 class BMatrix:
-    """A 2x2 matrix of Laurent polynomials; products of generator matrices
-    B(x) and D(p) all have determinant 1."""
+    """A 2x2 matrix of Laurent polynomials; products of the generator
+    matrices B(x) all have determinant 1."""
 
     a: LaurentPolynomial
     b: LaurentPolynomial
@@ -163,44 +163,30 @@ class BMatrix:
         zero = LaurentPolynomial.zero(table, ring)
         return cls(x, -one, one, zero)
 
-    @classmethod
-    def scaling(cls, p: LaurentPolynomial) -> "BMatrix":
-        """D(p) = [[p, 0], [0, p^-1]]; p must be a unit."""
-        table, ring = p.table, p.ring
-        zero = LaurentPolynomial.zero(table, ring)
-        return cls(p, zero, zero, p.invert_unit())
-
 
 def braid_matrix_product(
     entries: Sequence[Entry],
-    params: Sequence[LaurentPolynomial] | None = None,
     table: VariableTable | None = None,
     ring: Coefficients | None = None,
 ) -> BMatrix:
-    """B(x1)D(p1)...B(xn)D(pn), or the plain product B(x1)...B(xn).
-
-    Without parameters the entries are::
+    """The product B(x1)...B(xn), whose entries are::
 
         [[ K_n(x1..xn),    -K_{n-1}(x1..x_{n-1}) ],
          [ K_{n-1}(x2..xn), -K_{n-2}(x2..x_{n-1}) ]]
+
+    ``table`` and ``ring`` are required unless at least one entry is a
+    polynomial.
     """
     for x in entries:
         if isinstance(x, LaurentPolynomial):
             table, ring = x.table, x.ring
             break
     if table is None or ring is None:
-        if params:
-            table, ring = params[0].table, params[0].ring
-        else:
-            raise ValueError("braid matrix product of scalars needs a table and ring")
-    if params is not None and len(params) != len(entries):
-        raise ValueError("parameter list length must match entry list length")
+        raise ValueError("braid matrix product of scalars needs a table and ring")
 
     m = BMatrix.identity(table, ring)
-    for i, x in enumerate(entries):
+    for x in entries:
         m = m @ BMatrix.twist(_as_poly(x, table, ring))
-        if params is not None:
-            m = m @ BMatrix.scaling(params[i])
     return m
 
 

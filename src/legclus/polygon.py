@@ -23,7 +23,7 @@ from .bridge import BridgeWord
 from .cluster import Quiver, Seed
 from .dga import window_continuant
 from .errors import InputError
-from .ring import Coefficients, LaurentPolynomial, VariableTable
+from .ring import Coefficients
 
 Edge = tuple[int, int]
 
@@ -116,23 +116,20 @@ class Triangulation:
         return Triangulation(self.n, (self.diagonals - {d}) | {new})
 
     @classmethod
-    def fan(cls, n: int, at: int) -> "Triangulation":
-        if n < 3:
-            return cls(n, frozenset())
-        diags = {
-            _norm_edge(at, v)
-            for v in range(1, n + 1)
-            if v != at and not is_side(n, _norm_edge(at, v))
-        }
-        return cls(n, frozenset(diags))
+    def fan(cls, n: int) -> "Triangulation":
+        """The fan at vertex N: the diagonals (i, N) for 2 <= i <= N-2, none
+        when N < 4.  ``block_seed`` of a block polygon's fan is the block's
+        initial seed."""
+        return cls(n, frozenset((i, n) for i in range(2, n - 1)))
 
     def to_text(self) -> str:
         body = ",".join(f"{i}{j}" if self.n < 10 else f"{i}-{j}" for i, j in sorted(self.diagonals))
         return f"T({self.n}): {body}"
 
-    def to_svg(self, size: int = 200) -> str:
+    def to_svg(self) -> str:
         import math
 
+        size = 200
         cx = cy = size / 2
         r = size * 0.42
         pts = {}
@@ -276,109 +273,3 @@ def block_seed(word: BridgeWord, layout: BlockLayout, t: Triangulation) -> Seed:
     quiver, labels = quiver_from_triangulation(t, [layout.frozen_side])
     table, ring = word.crossing_table, Coefficients.integers()
     return Seed(quiver, tuple(window_continuant(table, ring, layout.edge_window(e)) for e in labels))
-
-
-# ----------------------------------------------------------------------
-# Pluecker coordinates from twist/scaling parameters
-
-
-def plucker_from_parameters(
-    avals: Sequence[int], pvals: Sequence[int], p: int
-) -> dict[Edge, int]:
-    """All 2x2 minors of the column matrix built from v1 = (1,0) by applying
-    B(a_i) D(p_i) successively; arithmetic in F_p, every p-value nonzero."""
-    if len(avals) != len(pvals):
-        raise InputError("need equally many twist and scaling parameters")
-    field = Coefficients.prime_field(p)
-    for v in pvals:
-        if v % p == 0:
-            raise InputError("scaling parameters must be nonzero")
-    cols = [(1, 0)]
-    m = ((1, 0), (0, 1))
-    for a, q in zip(avals, pvals):
-        a %= p
-        q %= p
-        qinv = field.invert(q)
-        # M <- M @ B(a) @ D(q), where B(a)D(q) = [[a q, -q^-1], [q, 0]]
-        b = ((a * q % p, (-qinv) % p), (q, 0))
-        m = (
-            (
-                (m[0][0] * b[0][0] + m[0][1] * b[1][0]) % p,
-                (m[0][0] * b[0][1] + m[0][1] * b[1][1]) % p,
-            ),
-            (
-                (m[1][0] * b[0][0] + m[1][1] * b[1][0]) % p,
-                (m[1][0] * b[0][1] + m[1][1] * b[1][1]) % p,
-            ),
-        )
-        cols.append((m[0][0], m[1][0]))
-    n = len(cols)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[(i + 1, j + 1)] = (cols[i][0] * cols[j][1] - cols[i][1] * cols[j][0]) % p
-    return out
-
-
-# ----------------------------------------------------------------------
-# cluster localization at a vertex function
-
-
-def localization_table(n: int, i: int) -> tuple[VariableTable, VariableTable]:
-    """Source table (a_j, p_j for the n-gon) and target table (b_j, r_j, u, v
-    for the (n-1)-gon with two fresh units)."""
-    src = VariableTable(
-        [f"a{j}" for j in range(1, n)] + [f"p{j}" for j in range(1, n)],
-        invertible=[f"p{j}" for j in range(1, n)],
-    )
-    rnames = [f"r{j}" for j in range(0, n - 1)]
-    tgt = VariableTable(
-        [f"b{j}" for j in range(1, n - 1)] + rnames + ["u", "v"],
-        invertible=rnames + ["u", "v"],
-    )
-    return src, tgt
-
-
-def localization_map(n: int, i: int) -> dict[str, LaurentPolynomial]:
-    """Pullback substitution realizing the chart where the vertex function
-    a_i is invertible: fresh units u, v replace the two sides at vertex i
-    and r_{i-1} carries the removed diagonal."""
-    if not 1 <= i < n:
-        raise InputError("vertex index must satisfy 1 <= i < n")
-    _, tgt = localization_table(n, i)
-    ring = Coefficients.integers()
-
-    def var(name: str) -> LaurentPolynomial:
-        return LaurentPolynomial.variable(tgt, ring, name)
-
-    def unit_inv(*names: str) -> LaurentPolynomial:
-        mono = LaurentPolynomial.constant(tgt, ring, 1)
-        for name in names:
-            mono = mono * var(name)
-        return mono.invert_unit()
-
-    r_prev = f"r{i - 1}"
-    out: dict[str, LaurentPolynomial] = {}
-    for j in range(1, n):
-        name = f"a{j}"
-        if j < i - 1:
-            out[name] = var(f"b{j}")
-        elif j == i - 1:  # only reached when i > 1
-            out[name] = var(f"b{j}") + var("v") * unit_inv("u", r_prev)
-        elif j == i:
-            out[name] = var(r_prev) * unit_inv("u", "v")
-        elif j == i + 1 and i < n - 1:
-            out[name] = var(f"b{i}") + var("u") * unit_inv("v", r_prev)
-        else:
-            out[name] = var(f"b{j - 1}")
-    for j in range(1, n):
-        name = f"p{j}"
-        if j < i - 1:
-            out[name] = var(f"r{j}")
-        elif j == i - 1:
-            out[name] = var("u")
-        elif j == i:
-            out[name] = var("v")
-        else:
-            out[name] = var(f"r{j - 1}")
-    return out

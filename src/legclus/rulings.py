@@ -19,6 +19,7 @@ and the same counts).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Mapping
@@ -281,21 +282,23 @@ def ruling_polynomial(word: BridgeWord) -> LaurentPolynomial:
     """B(z) = sum over rulings of z^(s(R)-1); both plat fronts here have
     two left cusps.  Two-component words admit all-domino rulings, so a
     z^-1 term can occur (as it does for the unlink)."""
+    shapes = Counter(r.switches for r in enumerate_rulings(word))
     out = LaurentPolynomial.zero(_ZTABLE, _Z)
-    for r in enumerate_rulings(word):
-        out = out + LaurentPolynomial.monomial(_ZTABLE, _Z, 1, {"z": r.switches - 1})
+    for s, count in shapes.items():
+        out = out + LaurentPolynomial.monomial(_ZTABLE, _Z, count, {"z": s - 1})
     return out
 
 
 def stratum_count_polynomial(word: BridgeWord) -> LaurentPolynomial:
-    """Sum over rulings of (q-1)^s q^(r-k+1), as a polynomial in q."""
+    """Sum over rulings of (q-1)^s q^(r-k+1), as a polynomial in q, with
+    one term per shape (s, r)."""
     table = VariableTable(["q"])
     q = LaurentPolynomial.variable(table, _Z, "q")
     one = LaurentPolynomial.constant(table, _Z, 1)
+    shapes = Counter((r.switches, r.returns) for r in enumerate_rulings(word))
     out = LaurentPolynomial.zero(table, _Z)
-    for r in enumerate_rulings(word):
-        term = (q - one) ** r.switches * q ** (r.returns - word.k + 1)
-        out = out + term
+    for (s, r), count in shapes.items():
+        out = out + count * (q - one) ** s * q ** (r - word.k + 1)
     return out
 
 

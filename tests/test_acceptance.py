@@ -52,7 +52,7 @@ def report(n, text):
 
 def fan_seeds(w):
     """Each block's seed of the fan at its vertex N."""
-    return [block_seed(w, b, Triangulation.fan(b.size, b.size)) for b in w.layouts]
+    return [block_seed(w, b, Triangulation.fan(b.size)) for b in w.layouts]
 
 
 def test_criterion_01_continuant_identities():

@@ -103,14 +103,6 @@ def test_coprimality_random_tuples():
         assert math.gcd(kn, right) == 1
 
 
-def test_product_with_scaling_has_det_one():
-    table = VariableTable(["x1", "x2", "p1", "p2"], invertible=("p1", "p2"))
-    xs = [LaurentPolynomial.variable(table, Z, n) for n in ("x1", "x2")]
-    ps = [LaurentPolynomial.variable(table, Z, n) for n in ("p1", "p2")]
-    m = braid_matrix_product(xs, params=ps)
-    assert m.det() == LaurentPolynomial.constant(table, Z, 1)
-
-
 def test_identity_matrix():
     table, _ = xvars(1)
     m = BMatrix.identity(table, Z)

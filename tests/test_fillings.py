@@ -116,8 +116,8 @@ def test_sequence_to_triangulations_paper_block():
 def test_left_to_right_gives_fan():
     w = BridgeWord((5, 4))
     tris = sequence_to_triangulations(w, (1, 2, 3, 4, 7, 8, 9))
-    assert tris[0] == Triangulation.fan(6, 6)
-    assert tris[1] == Triangulation.fan(5, 5)
+    assert tris[0] == Triangulation.fan(6)
+    assert tris[1] == Triangulation.fan(5)
 
 
 def test_incomplete_sequence_rejected():
@@ -318,7 +318,7 @@ def test_census_needs_no_word_walk(monkeypatch):
     census = enumerate_filling_classes(BridgeWord((5, 6, 5)))
     assert census.count == len(set(census.representatives)) == 2744
     w = BridgeWord((6, 4, 6))
-    tris = [Triangulation.fan(layout.size, layout.size) for layout in w.layouts]
+    tris = [Triangulation.fan(layout.size) for layout in w.layouts]
     rep = representative_sequence(w, tris)
     monkeypatch.undo()
     assert sequence_to_triangulations(w, rep) == tuple(tris)

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -13,9 +12,6 @@ from legclus.polygon import (
     Triangulation,
     block_seed,
     edges_cross,
-    localization_map,
-    localization_table,
-    plucker_from_parameters,
     quiver_from_triangulation,
     triangulations,
 )
@@ -82,7 +78,7 @@ def test_triangulation_counts_are_catalan():
 
 
 def test_fan_triangulation():
-    t = Triangulation.fan(6, 6)
+    t = Triangulation.fan(6)
     assert t.diagonals == frozenset({(2, 6), (3, 6), (4, 6)})
 
 
@@ -142,7 +138,7 @@ def test_diagonal_to_continuant_last_block():
 def test_fan_seed_matches_initial_path():
     w = BridgeWord((5, 4))
     b = w.layouts[0]
-    s = block_seed(w, b, Triangulation.fan(b.size, b.size))
+    s = block_seed(w, b, Triangulation.fan(b.size))
     t = w.crossing_table
     a = {i: LaurentPolynomial.variable(t, Z, f"a{i}") for i in range(1, 10)}
     expected = [
@@ -186,100 +182,6 @@ def test_plucker_exchange_identity_polynomially():
             for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
                 D = edge_continuant(w, b)
                 assert D((i, k)) * D((j, l)) == D((i, j)) * D((k, l)) + D((j, k)) * D((i, l))
-
-
-def test_plucker_from_parameters_identities():
-    rng = random.Random(23)
-    p = 7
-    for _ in range(30):
-        n = rng.randint(3, 7)
-        avals = [rng.randrange(p) for _ in range(n - 1)]
-        pvals = [rng.randrange(1, p) for _ in range(n - 1)]
-        deltas = plucker_from_parameters(avals, pvals, p)
-        for j in range(1, n):
-            assert deltas[(j, j + 1)] == pvals[j - 1] % p
-        for j in range(2, n):
-            expected = avals[j - 1] * pvals[j - 2] * pvals[j - 1] % p
-            assert deltas[(j - 1, j + 1)] == expected
-        # with unit scalings the first row gives window continuants
-        ones = plucker_from_parameters(avals, [1] * (n - 1), p)
-        from legclus.continuant import continuant_int
-
-        for j in range(2, n + 1):
-            assert ones[(1, j)] == continuant_int(avals[1 : j - 1]) % p
-
-
-def test_plucker_three_term_relation_numeric():
-    rng = random.Random(29)
-    p = 5
-    for _ in range(20):
-        n = rng.randint(4, 7)
-        avals = [rng.randrange(p) for _ in range(n - 1)]
-        pvals = [rng.randrange(1, p) for _ in range(n - 1)]
-        d = plucker_from_parameters(avals, pvals, p)
-        for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
-            assert d[(i, k)] * d[(j, l)] % p == (d[(i, j)] * d[(k, l)] + d[(j, k)] * d[(i, l)]) % p
-
-
-def test_potential_function_identity():
-    # sum of angle functions at a vertex equals the vertex function a_i
-    rng = random.Random(31)
-    p = 11
-    for _ in range(15):
-        n = rng.randint(4, 7)
-        avals = [rng.randrange(p) for _ in range(n - 1)]
-        pvals = [rng.randrange(1, p) for _ in range(n - 1)]
-        d = plucker_from_parameters(avals, pvals, p)
-        if any(d[e] == 0 for t in triangulations(n) for e in t.diagonals):
-            continue  # stay on the locus where every chart function is a unit
-        field = Coefficients.prime_field(p)
-
-        def delta(i, j):
-            return d[(i, j) if i < j else (j, i)]
-
-        def vertex_function(i):
-            left = i - 1 if i > 1 else n
-            right = i + 1 if i < n else 1
-            return delta(left, right) * field.invert(delta(left, i) * delta(i, right)) % p
-
-        for t in triangulations(n):
-            for v in range(1, n + 1):
-                total = 0
-                for (x, y, z) in t.triangles():
-                    if v not in (x, y, z):
-                        continue
-                    others = [c for c in (x, y, z) if c != v]
-                    opp = delta(others[0], others[1])
-                    adj = delta(v, others[0]) * delta(v, others[1]) % p
-                    total = (total + opp * field.invert(adj)) % p
-                assert total == vertex_function(v)
-
-
-def test_localization_map_table_entries():
-    n, i = 6, 3
-    sub = localization_map(n, i)
-    _, tgt = localization_table(n, i)
-    r = LaurentPolynomial.variable(tgt, Z, "r2")
-    u = LaurentPolynomial.variable(tgt, Z, "u")
-    v = LaurentPolynomial.variable(tgt, Z, "v")
-    b2 = LaurentPolynomial.variable(tgt, Z, "b2")
-    b3 = LaurentPolynomial.variable(tgt, Z, "b3")
-    assert sub["a3"] == r * (u * v).invert_unit()
-    assert sub["a2"] == b2 + v * (u * r).invert_unit()
-    assert sub["a4"] == b3 + u * (v * r).invert_unit()
-    assert sub["p4"] == LaurentPolynomial.variable(tgt, Z, "r3")
-    assert sub["p2"] == u
-    assert sub["p3"] == v
-
-
-def test_localization_map_first_vertex_uses_wraparound_unit():
-    sub = localization_map(5, 1)
-    _, tgt = localization_table(5, 1)
-    r0 = LaurentPolynomial.variable(tgt, Z, "r0")
-    u = LaurentPolynomial.variable(tgt, Z, "u")
-    v = LaurentPolynomial.variable(tgt, Z, "v")
-    assert sub["a1"] == r0 * (u * v).invert_unit()
-    assert "a0" not in sub
 
 
 def test_degenerate_blocks_have_singleton_or_empty_seeds():
@@ -346,7 +248,7 @@ def test_block_triangulations_reach_every_seed_of_the_fan_class(blocks, block):
     # triangulations are exactly the mutation class of the fan at vertex N
     w = BridgeWord(blocks)
     layout = w.layouts[block]
-    fan = block_seed(w, layout, Triangulation.fan(layout.size, layout.size))
+    fan = block_seed(w, layout, Triangulation.fan(layout.size))
     seeds, exceeded = mutation_class(fan)
     assert not exceeded
     reached = {block_seed(w, layout, t).canonical_key() for t in triangulations(layout.size)}

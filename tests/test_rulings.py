@@ -251,3 +251,24 @@ def test_stratum_counts_equal_closed_form_sweep():
 
     for w in rational_form_words(10):
         assert stratum_count_polynomial(w) == point_count_closed_form(w)
+
+
+def test_stratum_count_polynomial_takes_one_term_per_shape(monkeypatch):
+    # 233 rulings of [12] fall into 7 shapes (s, r); each shape costs the
+    # two powers (q-1)^s and q^(r-k+1), however many rulings share it
+    from legclus.augvar import point_count_closed_form
+
+    w = BridgeWord((12,))
+    shapes = {(r.switches, r.returns) for r in enumerate_rulings(w)}
+    power = LaurentPolynomial.__pow__
+    calls = []
+
+    def counted_power(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(LaurentPolynomial, "__pow__", counted_power)
+    counts = stratum_count_polynomial(w)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * len(shapes)
+    assert counts == point_count_closed_form(w)
