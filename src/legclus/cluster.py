@@ -39,6 +39,16 @@ class Quiver:
             raise InputError("frozen vertex out of range")
 
     @classmethod
+    def _unchecked(cls, matrix: tuple[tuple[int, ...], ...], frozen: frozenset[int]) -> "Quiver":
+        """A quiver assembled from the parts of already checked quivers: a
+        square, skew-symmetric tuple of tuples and a frozenset of vertices
+        in range.  Such parts need no second check, so none is made."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "matrix", matrix)
+        object.__setattr__(q, "frozen", frozen)
+        return q
+
+    @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[tuple[int, int]], frozen: Iterable[int] = ()) -> "Quiver":
         m = [[0] * n for _ in range(n)]
         for i, j in arrows:
@@ -74,7 +84,7 @@ class Quiver:
                     row[j] += eik * ekj
                 elif eik < 0 and ekj < 0:
                     row[j] -= eik * ekj
-        return Quiver(tuple(tuple(row) for row in new), self.frozen)
+        return Quiver._unchecked(tuple(tuple(row) for row in new), self.frozen)
 
     def anticliques(self) -> list[frozenset[int]]:
         """All subsets of mutable vertices with no exchange arrows inside,
@@ -145,6 +155,12 @@ class Seed:
             raise InputError("one cluster variable per quiver vertex is required")
 
     def mutate(self, k: int) -> "Seed":
+        return self._replaced(k, self._exchange(k))
+
+    def _exchange(self, k: int) -> LaurentPolynomial:
+        """The variable that replaces x_k: the exchange binomial divided by
+        x_k.  It depends only on x_k and on the variables x_j with their
+        exponents b_kj over the nonzero entries of row k."""
         q = self.quiver
         if k in q.frozen:
             raise InputError(f"vertex {k} is frozen")
@@ -162,9 +178,13 @@ class Seed:
             raise AlgebraError(
                 f"exchange binomial not divisible by cluster variable at vertex {k}"
             )
+        return new_var
+
+    def _replaced(self, k: int, new_var: LaurentPolynomial) -> "Seed":
+        """This seed mutated at k, given the new variable at k."""
         variables = list(self.variables)
         variables[k] = new_var
-        return Seed(q.mutate(k), tuple(variables))
+        return Seed(self.quiver.mutate(k), tuple(variables))
 
     def canonical_key(self) -> tuple:
         """Identification up to simultaneous permutation of mutable vertices
@@ -205,7 +225,7 @@ def merge_seeds(seeds: Sequence[Seed]) -> Seed:
         frozen.update(offset + v for v in s.quiver.frozen)
         variables.extend(s.variables)
         offset += n
-    return Seed(Quiver(tuple(tuple(r) for r in matrix), frozenset(frozen)), tuple(variables))
+    return Seed(Quiver._unchecked(tuple(tuple(r) for r in matrix), frozenset(frozen)), tuple(variables))
 
 
 def strip_unit_frozen(seed: Seed) -> Seed:
@@ -240,6 +260,12 @@ def mutation_class(seed: Seed, bound: int = 10000) -> tuple[list[Seed], bool]:
     ``itertools.product`` over the components ordered by their first
     vertex, the last component varying fastest.  A one-component seed is
     listed in breadth-first order.  Either way the first seed is ``seed``.
+
+    Within one call each exchange binomial is divided once: the closure
+    memoizes the new variable under the canonical text of x_v and the
+    sorted pairs (text of x_j, b_vj) over the nonzero entries of row v.
+    The new variable is a function of exactly these, and canonical text is
+    a faithful form of a polynomial, so the memo changes no answer.
 
     ``min(bound, |class|)`` seeds are returned, and ``exceeded`` is True
     exactly when the class has more than ``bound`` seeds.
@@ -283,7 +309,7 @@ def mutation_class(seed: Seed, bound: int = 10000) -> tuple[list[Seed], bool]:
         for member in combo:
             for i, row, x in member:
                 rows[i], variables[i] = row, x
-        out.append(Seed(Quiver(tuple(rows), seed.quiver.frozen), tuple(variables)))
+        out.append(Seed(Quiver._unchecked(tuple(rows), seed.quiver.frozen), tuple(variables)))
     return out, exceeded
 
 
@@ -314,25 +340,48 @@ def _restrict(seed: Seed, verts: Sequence[int]) -> Seed:
     m = seed.quiver.matrix
     matrix = tuple(tuple(m[i][j] for j in verts) for i in verts)
     frozen = frozenset(a for a, v in enumerate(verts) if v in seed.quiver.frozen)
-    return Seed(Quiver(matrix, frozen), tuple(seed.variables[v] for v in verts))
+    return Seed(Quiver._unchecked(matrix, frozen), tuple(seed.variables[v] for v in verts))
 
 
 def _closure(seed: Seed, bound: int) -> tuple[list[Seed], bool]:
     """Breadth-first closure under mutation, at most ``bound`` seeds.
 
     Each seed keeps the canonical texts of its variables, so a child
-    computes the text of its one new variable only."""
+    computes the text of its one new variable only.
+
+    Each exchange binomial is divided once per call.  The variable that
+    mutation at v brings in is a function of x_v and of the pairs
+    (x_j, b_vj) over the nonzero entries of row v, frozen neighbours
+    included, and ``canonical_text`` is a faithful form of a polynomial.
+    So the new variable is memoized under the key (text of x_v, sorted
+    pairs (text of x_j, b_vj)).  A division also records the reverse
+    exchange: mutation negates row v and leaves every other variable as
+    it was, so the key (text of the new variable, sorted pairs
+    (text of x_j, -b_vj)) gives back x_v.
+    """
     texts = [v.canonical_text() for v in seed.variables]
     seen = {_canonical_key(seed.quiver, texts): seed}
+    exchanged: dict[tuple, tuple[LaurentPolynomial, str]] = {}
     frontier = [(seed, texts)]
     exceeded = False
     while frontier:
         nxt = []
         for s, text in frontier:
             for v in s.quiver.mutable:
-                t = s.mutate(v)
+                pairs = sorted((text[j], b) for j, b in enumerate(s.quiver.matrix[v]) if b)
+                exchange = (text[v], tuple(pairs))
+                if exchange in exchanged:
+                    new_var, new_text = exchanged[exchange]
+                    t = s._replaced(v, new_var)
+                else:
+                    t = s.mutate(v)
+                    new_var = t.variables[v]
+                    new_text = new_var.canonical_text()
+                    exchanged[exchange] = (new_var, new_text)
+                    back = tuple(sorted((tj, -b) for tj, b in pairs))
+                    exchanged[(new_text, back)] = (s.variables[v], text[v])
                 child = text[:]
-                child[v] = t.variables[v].canonical_text()
+                child[v] = new_text
                 key = _canonical_key(t.quiver, child)
                 if key not in seen:
                     if len(seen) >= bound:

@@ -1,7 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
+import legclus.cluster as cluster
 from legclus.augvar import initial_seed
 from legclus.bridge import BridgeWord, rational_form_words
 from legclus.cluster import Quiver, Seed, merge_seeds, mutation_class
@@ -304,6 +306,44 @@ def test_mutation_class_two_paths_through_one_frozen_vertex():
     q = Quiver.from_arrows(5, [(0, 1), (1, 2), (3, 4), (4, 2)], frozen={2})
     assert is_connected(q)
     assert_matches_bfs(Seed(q, xs))
+
+
+def test_mutation_class_with_exponents_two():
+    # x1 -> x2 -> x3 with a double arrow x1 => f and an arrow f -> x3, f
+    # frozen: the exchange of x1 carries f^2, and its memo key b = +-2
+    names = ["x1", "x2", "x3", "f"]
+    t = VariableTable(names, invertible=names)
+    xs = tuple(LaurentPolynomial.variable(t, Z, n) for n in names)
+    q = Quiver.from_arrows(4, [(0, 1), (1, 2), (0, 3), (0, 3), (3, 2)], frozen={3})
+    seed = Seed(q, xs)
+    assert len(mutation_class(seed)[0]) == 14
+    assert_matches_bfs(seed)
+
+
+def test_mutation_class_divides_each_exchange_binomial_once(monkeypatch):
+    # an A_n class on an (n+3)-gon has one exchange binomial per pair of
+    # crossing diagonals, C(n+3, 4) of them; a block [n] is A_(n-1)
+    calls = []
+    divide = cluster.exact_divide
+    monkeypatch.setattr(cluster, "exact_divide", lambda *a: calls.append(a) or divide(*a))
+
+    def divisions(blocks):
+        seed = initial_seed(BridgeWord(blocks)).seed
+        calls.clear()
+        mutation_class(seed)
+        return len(calls)
+
+    assert [divisions((n,)) for n in range(3, 8)] == [comb(n + 2, 4) for n in range(3, 8)] == [5, 15, 35, 70, 126]
+    assert divisions((5, 5)) == 15 + 15
+    assert divisions((6, 4)) == 35 + 5
+
+
+def test_mutation_class_seeds_have_valid_quivers():
+    for blocks in [(6,), (6, 4), (6, 5, 6)]:
+        for s in mutation_class(initial_seed(BridgeWord(blocks)).seed)[0]:
+            # the validating constructor checks squareness, skew-symmetry
+            # and the frozen range, and equality checks the field types
+            assert Quiver(s.quiver.matrix, s.quiver.frozen) == s.quiver
 
 
 def test_mutation_class_rejects_equal_mutable_variables():
